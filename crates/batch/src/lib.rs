@@ -1,65 +1,95 @@
-//! `specfem-batch` — the batched multi-event execution tier: one mesh,
-//! K earthquakes per solve.
+//! `specfem-batch` — the compatibility surface of the former batched
+//! tier: one mesh, K earthquakes per solve.
 //!
-//! The campaign runtime already dedups the mesh across a catalogue
-//! sweep (E-CAMP), but each event still re-pays identical stiffness
-//! work: the same metric terms, the same derivative operators, the same
-//! halo exchange, once per event. Following Yamaguchi et al.'s
-//! multiple-simulation formulation, this crate fuses K simulations that
-//! share a mesh into *one* time loop:
-//!
-//! * [`WavefieldBank`] stores `displ/veloc/accel/chi/χ̇/χ̈` with an
-//!   innermost event-lane dimension K (lane-major SoA,
-//!   `specfem_kernels::lane_major`);
-//! * [`forces`] runs the solid and fluid force kernels as 5×5×K
-//!   batched cut-plane products through the same kernel-dispatch
-//!   interface ([`specfem_kernels::batched`]);
-//! * [`BatchSolver`] mirrors the single-lane `RankSolver` step order
-//!   exactly — per-lane source injection, per-lane seismogram
-//!   recording, a per-lane health monitor (a poisoned lane fails alone;
-//!   its siblings finish) — and exchanges halos once per neighbor per
-//!   step with all K lanes packed into the message (`ncomp = 3K` solid,
-//!   `K` fluid), so the posted message count is independent of K.
+//! There is no second solver here any more. Following Yamaguchi et al.'s
+//! multiple-simulation formulation, K simulations that share a mesh are
+//! one `specfem_solver::RankSolver` whose fields carry an innermost
+//! event-lane dimension (DESIGN.md, "The step pipeline"); this crate only
+//! keeps the names the benchmark adapter and the differential oracle in
+//! `tests/batch_oracle.rs` drive that solver through.
 //!
 //! **Differential oracle / ULP policy: zero ULP.** A K-event batch is
 //! bit-identical to the K serial runs it replaces — seismograms *and*
-//! final checkpointed fields — for every kernel variant. See
-//! `specfem_kernels::batched` for the per-variant argument and
-//! `tests/batch_oracle.rs` for the enforcement.
+//! final checkpointed fields — for every kernel variant, halo schedule
+//! and decomposition. See `specfem_kernels::batched` for the per-variant
+//! argument and `tests/batch_oracle.rs` for the enforcement.
 
-pub mod bank;
-pub mod forces;
-pub mod timeloop;
-
-pub use bank::WavefieldBank;
-pub use timeloop::{
-    try_run_batch_partitioned, try_run_batch_serial, BatchRankOutput, BatchRunOptions, BatchSolver,
-    EventLane, LaneOutput,
+use specfem_comm::{Communicator, NetworkProfile};
+use specfem_mesh::{GlobalMesh, LocalMesh, Partition};
+use specfem_solver::{
+    try_run_partitioned_lanes, try_run_serial_lanes, FtOptions, LaneResult, RankSolver,
+    SolverConfig, SolverError,
 };
 
-/// Reject configurations the batched tier does not support. The serial
-/// path handles these; the campaign packer only fuses jobs that pass.
-pub fn supported(config: &specfem_solver::SolverConfig) -> Result<(), String> {
-    if config.attenuation {
-        return Err("batched tier does not support attenuation (per-lane SLS memory)".into());
+pub use specfem_solver::EventLane;
+
+/// A `RankSolver` set up for K lanes and stepped from outside.
+pub struct BatchSolver(RankSolver);
+
+impl BatchSolver {
+    /// See [`RankSolver::with_lanes`] (collective call).
+    pub fn new(
+        mesh: LocalMesh,
+        config: &SolverConfig,
+        lanes: &[EventLane],
+        comm: &mut dyn Communicator,
+    ) -> Self {
+        Self(RankSolver::with_lanes(mesh, config, lanes, comm))
     }
-    if config.ocean_load {
-        return Err("batched tier does not support the ocean load".into());
+
+    /// See [`RankSolver::step`].
+    pub fn step(&mut self, istep: usize, comm: &mut dyn Communicator) -> Result<(), SolverError> {
+        self.0.step(istep, comm)
     }
-    if config.energy_every > 0 {
-        return Err("batched tier does not support energy diagnostics".into());
-    }
-    if config.snapshot_every > 0 {
-        return Err("batched tier does not support wavefield snapshots".into());
-    }
-    if config.checkpoint_every > 0 {
-        return Err("batched tier does not support mid-run checkpointing".into());
-    }
-    if config.fault_plan.is_some() {
-        return Err("batched tier does not run fault plans".into());
-    }
-    if config.lts_max_rate > 1 || config.lts_all_rate_one {
-        return Err("batched tier does not support local time stepping".into());
-    }
-    Ok(())
+}
+
+/// Run options for a batched run.
+#[derive(Debug, Clone, Default)]
+pub struct BatchRunOptions {
+    /// Capture every healthy lane's final wavefield as its
+    /// `RankResult::final_state` (the differential oracle compares these
+    /// against serial runs).
+    pub capture_final_state: bool,
+}
+
+/// Everything one rank returns from a batched run.
+#[derive(Debug, Clone)]
+pub struct BatchRankOutput {
+    /// Per-lane outcome, in lane order: a healthy lane's result, or the
+    /// health report that poisoned it (siblings complete regardless).
+    /// What the lanes share (comm statistics, flops) is on the first
+    /// healthy one.
+    pub lanes: Vec<LaneResult>,
+}
+
+/// Run a batch serially (one rank, whole mesh).
+pub fn try_run_batch_serial(
+    mesh: &GlobalMesh,
+    config: &SolverConfig,
+    lanes: &[EventLane],
+    opts: &BatchRunOptions,
+) -> Result<BatchRankOutput, SolverError> {
+    let ft = FtOptions::default();
+    let lanes = try_run_serial_lanes(mesh, config, lanes, ft, opts.capture_final_state)?;
+    Ok(BatchRankOutput { lanes })
+}
+
+/// Run a batch distributed over an explicit partition (the `mpirun`
+/// analog of [`try_run_batch_serial`]).
+pub fn try_run_batch_partitioned(
+    mesh: &GlobalMesh,
+    config: &SolverConfig,
+    lanes: &[EventLane],
+    profile: NetworkProfile,
+    partition: &Partition,
+    opts: &BatchRunOptions,
+) -> Vec<Result<BatchRankOutput, SolverError>> {
+    let ft = FtOptions::default();
+    let capture = opts.capture_final_state;
+    let (per_rank, _) =
+        try_run_partitioned_lanes(mesh, config, lanes, profile, ft, partition, capture);
+    per_rank
+        .into_iter()
+        .map(|r| r.map(|lanes| BatchRankOutput { lanes }))
+        .collect()
 }

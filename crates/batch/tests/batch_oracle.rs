@@ -6,18 +6,20 @@
 //!
 //! The single-lane reference is driven through `RankSolver` manually
 //! (`new` → `step` loop → `capture_checkpoint`) so one pass yields both
-//! the final fields and the station records, with the solver's default
-//! overlapped exchange — so the oracle also transitively rechecks the
-//! overlap/blocking equivalence the batched (blocking-only) path leans
-//! on.
+//! the final fields and the station records. A fused run is the same
+//! `RankSolver` with K lanes, so everything the single-lane loop admits —
+//! either halo schedule, the ocean load, absorbing boundaries, fault
+//! injection, tracing — is in scope here too.
 
-use specfem_batch::{try_run_batch_partitioned, try_run_batch_serial, BatchRunOptions, EventLane};
-use specfem_comm::{tags, Communicator, NetworkProfile, SerialComm, ThreadWorld};
+use specfem_batch::{
+    try_run_batch_partitioned, try_run_batch_serial, BatchRankOutput, BatchRunOptions, EventLane,
+};
+use specfem_comm::{tags, Communicator, FaultPlan, NetworkProfile, SerialComm, ThreadWorld};
 use specfem_kernels::KernelVariant;
 use specfem_mesh::stations::global_network;
 use specfem_mesh::{GlobalMesh, MeshParams, Partition};
 use specfem_model::{builtin_events, Prem, SourceTimeFunction, StfKind};
-use specfem_solver::{CheckpointState, RankSolver, SolverConfig, SourceSpec};
+use specfem_solver::{CheckpointState, RankSolver, SolverConfig, SolverError, SourceSpec};
 
 #[path = "../../../tests/common/oracle.rs"]
 mod oracle;
@@ -68,32 +70,68 @@ fn serial_state(mesh: &GlobalMesh, cfg: &SolverConfig, lane: &EventLane) -> Chec
     solver.capture_checkpoint(0, 1, cfg.nsteps)
 }
 
-fn run_batch_and_compare(mesh: &GlobalMesh, cfg: &SolverConfig, k: usize) {
-    let lanes = lanes(k);
-    let out = try_run_batch_serial(
-        mesh,
-        cfg,
-        &lanes,
-        &BatchRunOptions {
-            capture_final_state: true,
-        },
-    )
-    .expect("batch run");
-    assert_eq!(out.k, k);
-    assert_eq!(out.lanes.len(), k);
-    for (lane, result) in lanes.iter().zip(&out.lanes) {
-        let got = result.as_ref().expect("healthy lane");
-        assert_eq!(got.name, lane.name);
-        let want = serial_state(mesh, cfg, lane);
-        assert_state_matches(&lane.name, got.final_state.as_ref().unwrap(), &want);
-        // The packaged seismograms restate the records.
-        assert_eq!(got.seismograms.len(), lane.stations.len());
-        for (seis, (name, rec)) in got.seismograms.iter().zip(&want.records) {
-            assert_eq!(&seis.station, name);
-            assert_eq!(seis.data.len(), rec.len());
-            for (x, y) in seis.data.iter().zip(rec) {
-                for c in 0..3 {
-                    assert_eq!(x[c].to_bits(), y[c].to_bits());
+/// The oracle table's one row: for every K in `ks`, fuse the first K
+/// lanes on `partition` (a one-rank partition takes the serial driver)
+/// and demand every lane's final state and seismograms be bit-identical,
+/// rank by rank, to that lane's own single-lane run on the same
+/// decomposition.
+fn run_batch_and_compare(
+    mesh: &GlobalMesh,
+    cfg: &SolverConfig,
+    ks: &[usize],
+    partition: &Partition,
+) {
+    let all_lanes = lanes(*ks.iter().max().unwrap());
+    let opts = BatchRunOptions {
+        capture_final_state: true,
+    };
+    let ranks = partition.num_ranks;
+    // want[lane][rank] — and no lane may be vacuously quiet.
+    let want: Vec<Vec<CheckpointState>> = all_lanes
+        .iter()
+        .map(|lane| match ranks {
+            1 => vec![serial_state(mesh, cfg, lane)],
+            _ => distributed_states(mesh, cfg, lane, partition),
+        })
+        .collect();
+    for per_rank in &want {
+        let moved = |s: &CheckpointState| s.displ.iter().any(|&x| x != 0.0);
+        assert!(per_rank.iter().any(moved), "reference lane never moved");
+    }
+    for &k in ks {
+        let lanes = &all_lanes[..k];
+        let outs: Vec<BatchRankOutput> = match ranks {
+            1 => vec![try_run_batch_serial(mesh, cfg, lanes, &opts).expect("batch run")],
+            _ => try_run_batch_partitioned(
+                mesh,
+                cfg,
+                lanes,
+                NetworkProfile::loopback(),
+                partition,
+                &opts,
+            )
+            .into_iter()
+            .map(|r| r.expect("rank ok"))
+            .collect(),
+        };
+        assert_eq!(outs.len(), ranks);
+        for (rank, out) in outs.iter().enumerate() {
+            assert_eq!(out.lanes.len(), k);
+            for ((lane, result), want) in lanes.iter().zip(&out.lanes).zip(&want) {
+                let label = format!("k{k}/rank{rank}/{}", lane.name);
+                let got = result.as_ref().expect("healthy lane");
+                let want = &want[rank];
+                assert_state_matches(&label, got.final_state.as_ref().unwrap(), want);
+                // The packaged seismograms restate the records.
+                assert_eq!(got.seismograms.len(), want.records.len());
+                for (seis, (name, rec)) in got.seismograms.iter().zip(&want.records) {
+                    assert_eq!(&seis.station, name);
+                    assert_eq!(seis.data.len(), rec.len());
+                    for (x, y) in seis.data.iter().zip(rec) {
+                        for c in 0..3 {
+                            assert_eq!(x[c].to_bits(), y[c].to_bits(), "{label}");
+                        }
+                    }
                 }
             }
         }
@@ -104,9 +142,7 @@ fn run_batch_and_compare(mesh: &GlobalMesh, cfg: &SolverConfig, k: usize) {
 fn serial_batch_is_bit_identical_for_k_1_2_4_reference() {
     let mesh = prem_mesh();
     let cfg = config(KernelVariant::Reference, 10);
-    for k in [1, 2, 4] {
-        run_batch_and_compare(&mesh, &cfg, k);
-    }
+    run_batch_and_compare(&mesh, &cfg, &[1, 2, 4], &Partition::serial(&mesh));
 }
 
 #[test]
@@ -115,7 +151,7 @@ fn serial_batch_is_bit_identical_for_simd_and_blas_variants() {
     // single-lane kernel, so identity must hold there too.
     let mesh = prem_mesh();
     for variant in [KernelVariant::Simd, KernelVariant::BlasStyle] {
-        run_batch_and_compare(&mesh, &config(variant, 8), 2);
+        run_batch_and_compare(&mesh, &config(variant, 8), &[2], &Partition::serial(&mesh));
     }
 }
 
@@ -127,7 +163,49 @@ fn serial_batch_is_bit_identical_with_rotation_and_gravity() {
         gravity: true,
         ..config(KernelVariant::Reference, 6)
     };
-    run_batch_and_compare(&mesh, &cfg, 2);
+    run_batch_and_compare(&mesh, &cfg, &[2], &Partition::serial(&mesh));
+}
+
+/// What the shared loop newly admits at K > 1: K ∈ {1, 2, 4} × both halo
+/// schedules × serial and a 4-rank partition, for one physics setup.
+fn sweep_schedules_and_decompositions(mesh: &GlobalMesh, cfg: SolverConfig) {
+    for overlap in [true, false] {
+        let cfg = SolverConfig {
+            overlap,
+            ..cfg.clone()
+        };
+        for partition in [Partition::serial(mesh), Partition::balanced(mesh, 4)] {
+            run_batch_and_compare(mesh, &cfg, &[1, 2, 4], &partition);
+        }
+    }
+}
+
+#[test]
+fn fused_ocean_load_is_bit_identical_on_every_schedule_and_decomposition() {
+    let cfg = SolverConfig {
+        ocean_load: true,
+        ..config(KernelVariant::Reference, 4)
+    };
+    sweep_schedules_and_decompositions(&prem_mesh(), cfg);
+}
+
+#[test]
+fn fused_regional_absorbing_is_bit_identical_on_every_schedule_and_decomposition() {
+    let regional = GlobalMesh::build(
+        &MeshParams::regional(4, 1, 5_701_000.0),
+        &Prem::isotropic_no_ocean(),
+    );
+    sweep_schedules_and_decompositions(&regional, config(KernelVariant::Reference, 4));
+}
+
+#[test]
+fn fused_rotation_and_gravity_are_bit_identical_on_every_schedule_and_decomposition() {
+    let cfg = SolverConfig {
+        rotation: true,
+        gravity: true,
+        ..config(KernelVariant::Reference, 4)
+    };
+    sweep_schedules_and_decompositions(&prem_mesh(), cfg);
 }
 
 /// Single-lane distributed reference on an explicit partition: manual
@@ -161,32 +239,8 @@ fn distributed_states(
 #[test]
 fn distributed_batch_is_bit_identical_per_rank_and_per_lane() {
     let mesh = prem_mesh();
-    let partition = Partition::compute(&mesh);
     let cfg = config(KernelVariant::Reference, 6);
-    let lanes4 = lanes(4);
-    let outs = try_run_batch_partitioned(
-        &mesh,
-        &cfg,
-        &lanes4,
-        NetworkProfile::loopback(),
-        &partition,
-        &BatchRunOptions {
-            capture_final_state: true,
-        },
-    );
-    assert_eq!(outs.len(), partition.num_ranks);
-    for (lane_idx, lane) in lanes4.iter().enumerate() {
-        let want = distributed_states(&mesh, &cfg, lane, &partition);
-        for (rank, out) in outs.iter().enumerate() {
-            let out = out.as_ref().expect("rank ok");
-            let got = out.lanes[lane_idx].as_ref().expect("healthy lane");
-            assert_state_matches(
-                &format!("rank{rank}/{}", lane.name),
-                got.final_state.as_ref().unwrap(),
-                &want[rank],
-            );
-        }
-    }
+    run_batch_and_compare(&mesh, &cfg, &[4], &Partition::compute(&mesh));
 }
 
 #[test]
@@ -205,7 +259,8 @@ fn halo_message_count_is_independent_of_lane_count() {
             &opts,
         )
         .into_iter()
-        .map(|r| r.expect("rank ok"))
+        // What the lanes share is reported on the first (healthy) lane.
+        .map(|r| r.expect("rank ok").lanes[0].as_ref().unwrap().comm.clone())
         .collect::<Vec<_>>()
     };
     let k1 = run(1);
@@ -214,22 +269,26 @@ fn halo_message_count_is_independent_of_lane_count() {
 
     for rank in 0..partition.num_ranks {
         // Posted message count per step is independent of K...
-        assert_eq!(k1[rank].comm.messages_sent, k2[rank].comm.messages_sent);
-        assert_eq!(k2[rank].comm.messages_sent, k4[rank].comm.messages_sent);
-        for tag in [tags::HALO_BATCHED_SOLID, tags::HALO_BATCHED_FLUID] {
-            let (m1, b1) = k1[rank].comm.tag_traffic(tag);
-            let (m2, b2) = k2[rank].comm.tag_traffic(tag);
-            let (m4, b4) = k4[rank].comm.tag_traffic(tag);
-            assert!(m1 > 0, "rank {rank} tag {tag} sent no halo messages");
+        assert_eq!(k1[rank].messages_sent, k2[rank].messages_sent);
+        assert_eq!(k2[rank].messages_sent, k4[rank].messages_sent);
+        // (a one-lane run *is* the plain solver, so its halo traffic rides
+        // the single-lane tags; fused runs use the batched ones)
+        for (single, tag) in [
+            (tags::HALO_SOLID, tags::HALO_BATCHED_SOLID),
+            (tags::HALO_FLUID, tags::HALO_BATCHED_FLUID),
+        ] {
+            let (m1, b1) = k1[rank].tag_traffic(single);
+            let (m2, b2) = k2[rank].tag_traffic(tag);
+            let (m4, b4) = k4[rank].tag_traffic(tag);
+            assert!(m1 > 0, "rank {rank} tag {single} sent no halo messages");
             assert_eq!(m1, m2, "rank {rank} tag {tag} message count");
             assert_eq!(m2, m4, "rank {rank} tag {tag} message count");
             // ...while the bytes scale exactly linearly with K.
             assert_eq!(b2, 2 * b1, "rank {rank} tag {tag} bytes");
             assert_eq!(b4, 2 * b2, "rank {rank} tag {tag} bytes");
-        }
-        // The legacy single-lane tags are silent on the batched path.
-        for tag in [tags::HALO_SOLID, tags::HALO_FLUID] {
-            assert_eq!(k4[rank].comm.tag_traffic(tag).0, 0);
+            assert_eq!(k1[rank].tag_traffic(tag).0, 0);
+            // The single-lane tags are silent on a fused run.
+            assert_eq!(k4[rank].tag_traffic(single).0, 0);
         }
     }
 }
@@ -273,60 +332,91 @@ fn poisoned_lane_fails_alone_and_siblings_stay_bit_identical() {
 }
 
 #[test]
-fn unsupported_configs_are_rejected() {
-    for (cfg, why) in [
-        (
-            SolverConfig {
-                attenuation: true,
-                ..SolverConfig::default()
-            },
-            "attenuation",
-        ),
-        (
-            SolverConfig {
-                ocean_load: true,
-                ..SolverConfig::default()
-            },
-            "ocean",
-        ),
-        (
-            SolverConfig {
-                energy_every: 5,
-                ..SolverConfig::default()
-            },
-            "energy",
-        ),
-        (
-            SolverConfig {
-                snapshot_every: 5,
-                ..SolverConfig::default()
-            },
-            "snapshot",
-        ),
-        (
-            SolverConfig {
-                checkpoint_every: 5,
-                ..SolverConfig::default()
-            },
-            "checkpoint",
-        ),
-        (
-            SolverConfig {
-                lts_max_rate: 2,
-                ..SolverConfig::default()
-            },
-            "lts",
-        ),
-        (
-            SolverConfig {
-                lts_all_rate_one: true,
-                ..SolverConfig::default()
-            },
-            "lts oracle hook",
-        ),
-    ] {
-        let err = specfem_batch::supported(&cfg).expect_err(why);
-        assert!(err.contains("batched tier"), "{why}: {err}");
+fn rank_kill_on_a_fused_batch_is_a_typed_error_on_every_rank() {
+    let mesh = prem_mesh();
+    let cfg = SolverConfig {
+        fault_plan: Some(FaultPlan::new(0xDEAD_BEEF).kill(1, 3)),
+        recv_timeout: Some(std::time::Duration::from_secs(5)),
+        ..config(KernelVariant::Reference, 8)
+    };
+    let outs = try_run_batch_partitioned(
+        &mesh,
+        &cfg,
+        &lanes(2),
+        NetworkProfile::loopback(),
+        &Partition::balanced(&mesh, 4),
+        &BatchRunOptions::default(),
+    );
+    assert_eq!(outs.len(), 4);
+    for (rank, out) in outs.iter().enumerate() {
+        match out {
+            Err(SolverError::Comm(_) | SolverError::RankPanicked { .. }) => {}
+            other => panic!("rank {rank} must end in a typed comm failure, got {other:?}"),
+        }
     }
-    assert!(specfem_batch::supported(&SolverConfig::default()).is_ok());
+}
+
+#[test]
+fn armed_tracer_and_flight_recorder_leave_a_fused_batch_bit_identical() {
+    let mesh = prem_mesh();
+    let opts = BatchRunOptions {
+        capture_final_state: true,
+    };
+    let run = |armed: bool| {
+        let cfg = SolverConfig {
+            trace: armed,
+            flight_recorder: armed,
+            ..config(KernelVariant::Reference, 6)
+        };
+        try_run_batch_serial(&mesh, &cfg, &lanes(2), &opts).expect("batch run")
+    };
+    let (armed, disarmed) = (run(true), run(false));
+    for (a, d) in armed.lanes.iter().zip(&disarmed.lanes) {
+        let (a, d) = (a.as_ref().unwrap(), d.as_ref().unwrap());
+        assert!(a.profile.is_some() && d.profile.is_none());
+        assert_state_matches(
+            "armed vs disarmed",
+            a.final_state.as_ref().unwrap(),
+            d.final_state.as_ref().unwrap(),
+        );
+    }
+}
+
+#[test]
+fn unsupported_configs_are_rejected() {
+    use specfem_solver::lanes_supported;
+    type Set = fn(&mut SolverConfig);
+    // Every remaining refusal names the per-lane data the fields lack...
+    let refused: [(Set, &str); 6] = [
+        (|c| c.attenuation = true, "per-lane SLS memory"),
+        (|c| c.lts_max_rate = 2, "per-lane frozen force"),
+        (|c| c.lts_all_rate_one = true, "per-lane frozen force"),
+        (|c| c.checkpoint_every = 5, "per-lane field container"),
+        (|c| c.energy_every = 5, "per-lane energy series"),
+        (|c| c.snapshot_every = 5, "per-lane snapshot series"),
+    ];
+    for (set, names) in refused {
+        let mut cfg = SolverConfig::default();
+        set(&mut cfg);
+        let err = lanes_supported(&cfg, 2).expect_err(names);
+        assert!(err.contains(names), "{names}: {err}");
+        // ...and only applies to fused runs.
+        assert!(lanes_supported(&cfg, 1).is_ok(), "{names}");
+    }
+    // ...each lifted one now passes the screen (and runs: see the
+    // `fused_*`, `rank_kill_*` and `armed_*` cases above).
+    let lifted: [Set; 5] = [
+        |c| c.ocean_load = true,
+        |c| c.overlap = false,
+        |c| c.fault_plan = Some(FaultPlan::new(1)),
+        |c| c.trace = true,
+        |c| c.flight_recorder = true,
+    ];
+    for set in lifted {
+        let mut cfg = SolverConfig::default();
+        set(&mut cfg);
+        assert!(lanes_supported(&cfg, 4).is_ok());
+    }
+    assert!(lanes_supported(&SolverConfig::default(), 0).is_err());
+    assert!(lanes_supported(&SolverConfig::default(), 33).is_err());
 }

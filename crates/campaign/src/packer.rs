@@ -1,13 +1,16 @@
 //! The batch packer: decide which queued jobs may fuse into one
 //! K-lane solve.
 //!
-//! Fusion is legal only between jobs that would run the *same* fused
-//! time loop — identical mesh (full [`specfem_core::Simulation::mesh_key`]
+//! Fusion is legal only between jobs that would run the *same* time
+//! loop — identical mesh (full [`specfem_core::Simulation::mesh_key`]
 //! geometry) and identical batch-compat key
-//! ([`specfem_core::batch::batch_compat_key`]: kernel variant, physics
-//! toggles, `nsteps`, `dt`, recording cadence…). The per-lane degrees
-//! of freedom — the earthquake and the station set — are exactly what
-//! the lanes vary, so they do not appear in the key.
+//! ([`specfem_core::batch::batch_compat_key`]: the shared-physics hash
+//! `result_key` also uses, plus the supervision knobs lanes must agree
+//! on). The per-lane degrees of freedom — the earthquake and the station
+//! set — are exactly what the lanes vary, so they do not appear in the
+//! key. The solver has one time loop for any lane count, so nothing else
+//! is screened here: what still cannot fuse is decided in one place,
+//! `specfem_solver::lanes_supported`.
 //!
 //! The worker loop packs greedily from the live queue (see
 //! `worker_loop` in the crate root); [`plan_batches`] is the same
@@ -35,10 +38,10 @@ pub struct BatchKey {
     pub compat: u64,
 }
 
-/// The fusion identity of a job, or `None` when the job must take the
-/// single-lane path: distributed mode, unbatchable physics/ops config,
-/// or a fault plan (fault injection is a per-run supervision concern
-/// the fused loop does not thread through).
+/// The fusion identity of a job, or `None` when the job must run alone:
+/// distributed mode (workers fuse serial jobs only), or a configuration
+/// [`specfem_core::batch::batchable`] refuses (per-lane data the solver
+/// does not carry yet; a deadline-armed watchdog).
 pub fn batch_key(job: &Job) -> Option<BatchKey> {
     if job.mode != JobMode::Serial {
         return None;

@@ -1,81 +1,56 @@
-//! Facade-level glue for the batched multi-event tier: decide which
-//! [`Simulation`]s may fuse into one solve, and run K of them through
-//! `specfem-batch` producing K ordinary [`SimulationResult`]s.
+//! Facade-level glue for fused multi-event runs: decide which
+//! [`Simulation`]s may share one solve, and run K of them as the K lanes
+//! of one `specfem_solver` time loop, producing K ordinary
+//! [`SimulationResult`]s.
 //!
 //! The campaign packer and the serve daemon only ever talk to this
-//! module — they never touch lane-major banks or `BatchSolver` directly.
-//! The contract is the crate-wide zero-ULP one: each lane's seismograms
-//! (and, when requested, final wavefield) are bit-identical to the
-//! serial run of the same job, so a batched answer is cached under the
-//! same `result_key` a serial answer would be.
+//! module. The contract is the crate-wide zero-ULP one: each lane's
+//! seismograms are bit-identical to the serial run of the same job, so a
+//! fused answer is cached under the same `result_key` a serial answer
+//! would be.
 
-use specfem_batch::{
-    try_run_batch_partitioned, try_run_batch_serial, BatchRankOutput, BatchRunOptions, EventLane,
-    LaneOutput,
-};
-use specfem_comm::{NetworkProfile, StatsSnapshot};
-use specfem_kernels::{KernelVariant, MAX_BATCH_LANES};
-use specfem_mesh::{GlobalMesh, MeshMode, Partition};
-use specfem_solver::{RankResult, SolverError};
+use specfem_comm::NetworkProfile;
+use specfem_kernels::MAX_BATCH_LANES;
+use specfem_mesh::{GlobalMesh, Partition};
+use specfem_solver::{EventLane, FtOptions, LaneResult, RankResult, SolverError};
 
-use crate::{ResultFnv, Simulation, SimulationResult};
+use crate::{hash_shared_physics, ResultFnv, Simulation, SimulationResult};
 
-/// Can this simulation run on the batched tier at all? Requires the
-/// solver configuration `specfem_batch::supported` accepts, a global
-/// mesh (no absorbing boundaries), and none of the ops machinery the
-/// batch driver does not thread through (tracing, watchdog, fault
-/// injection, resume). Anything rejected here simply runs on the
-/// single-lane path — batching is an optimization, never a requirement.
+/// May this simulation ride as one lane of a fused solve? The solver
+/// states which configurations still need per-lane data it does not carry
+/// (`specfem_solver::lanes_supported`); on top of that only one policy
+/// remains: a deadline-bearing request arms the straggler watchdog, which
+/// is per-solve, and a fused solve must not let one lane's deadline kill
+/// its siblings. Anything rejected here simply runs alone — fusing is an
+/// optimization, never a requirement.
 pub fn batchable(sim: &Simulation) -> bool {
-    if specfem_batch::supported(&sim.config).is_err() {
-        return false;
-    }
-    if !matches!(sim.params.mode, MeshMode::Global) {
-        return false;
-    }
-    // Per-lane rank profiles and watchdog telemetry are not plumbed
-    // through the batch driver; jobs that asked for them keep the
-    // single-lane path so nothing is silently dropped.
-    !sim.config.trace && sim.config.watchdog_timeout.is_none()
+    specfem_solver::lanes_supported(&sim.config, 2).is_ok() && sim.config.watchdog_timeout.is_none()
 }
 
 /// The batch-compatibility fingerprint: two simulations may share one
-/// batched time loop iff they are [`batchable`] and their keys are
-/// equal. Hashes everything the fused loop holds in common — the mesh
-/// geometry, the kernel variant, the physics toggles, and the timeloop
-/// shape — while the per-lane degrees of freedom (source, stations) are
-/// deliberately excluded; those are exactly what the lanes vary.
+/// fused time loop iff they are [`batchable`] and their keys are equal.
+/// Hashes everything the lanes hold in common — the mesh geometry, the
+/// shared physics and schedule (the same hasher `result_key` uses), and
+/// the run-supervision knobs lane 0's config would otherwise silently
+/// answer for its siblings with (health cadence, tracing, flight recorder,
+/// receive deadline, fault plan) — while the per-lane degrees of freedom
+/// (source, stations, correlation id) are deliberately excluded; those
+/// are exactly what the lanes vary.
 pub fn batch_compat_key(sim: &Simulation) -> Option<u64> {
     if !batchable(sim) {
         return None;
     }
     let c = &sim.config;
     let mut h = ResultFnv::new();
-    h.bytes(b"specfem-batch-compat-v1");
+    h.bytes(b"specfem-batch-compat-v2");
     h.u64(sim.mesh_key().geometry_fingerprint());
-    h.u8(match c.variant {
-        KernelVariant::Reference => 0,
-        KernelVariant::Simd => 1,
-        KernelVariant::BlasStyle => 2,
-    });
-    h.u8(c.rotation as u8);
-    h.u8(c.gravity as u8);
-    h.u64(c.nsteps as u64);
-    match c.dt {
-        Some(dt) => {
-            h.u8(1);
-            h.f64(dt);
-        }
-        None => {
-            h.u8(0);
-            h.f64(0.0);
-        }
-    }
-    h.u64(c.record_every as u64);
-    h.u8(c.exact_station_location as u8);
-    // Health cadence shapes the step loop (when lanes are scanned), so
-    // only jobs sampling at the same cadence fuse.
+    hash_shared_physics(&mut h, c);
     h.u64(c.health_every as u64);
+    h.u8(c.trace as u8);
+    h.u64(c.metrics_every as u64);
+    h.u8(c.flight_recorder as u8);
+    h.u64(c.flight_buffer_events as u64);
+    h.bytes(format!("{:?}{:?}", c.recv_timeout, c.fault_plan).as_bytes());
     Some(h.finish())
 }
 
@@ -85,8 +60,8 @@ pub fn batch_compat_key(sim: &Simulation) -> Option<u64> {
 pub type BatchSetupError = String;
 
 /// Run `sims` — up to [`MAX_BATCH_LANES`] simulations sharing one mesh
-/// and one [`batch_compat_key`] — as a single batched solve. `profile =
-/// None` solves serially on one in-process rank; `Some(profile)` runs
+/// and one [`batch_compat_key`] — as the lanes of a single solve. `profile
+/// = None` solves serially on one in-process rank; `Some(profile)` runs
 /// the mesh's native `6 × NPROC_XI²` thread world.
 ///
 /// Returns one entry per input simulation, in order: the lane's
@@ -97,11 +72,11 @@ pub type BatchSetupError = String;
 /// mismatch) surfaces as the outer `Err` so the caller can rerun the
 /// jobs unfused.
 ///
-/// Accounting: the fused loop's communication and flop counters are
-/// physically shared by all lanes, so they are attributed to lane 0's
-/// `RankResult`s; sibling lanes carry empty comm stats and zero flops
-/// (wall time, being shared too, is reported on every lane). Summing
-/// telemetry across the returned results therefore never double-counts.
+/// Accounting follows [`LaneResult`]: what the fused loop physically
+/// shares (communication and flop counters) is reported on lane 0's
+/// `RankResult`s only, so summing telemetry across the returned results
+/// never double-counts; wall time and the traced rank profile describe
+/// the whole solve and appear on every lane.
 pub fn try_run_batch_with_mesh(
     sims: &[&Simulation],
     mesh: &GlobalMesh,
@@ -152,26 +127,49 @@ pub fn try_run_batch_with_mesh(
             stations: sim.stations.clone(),
         })
         .collect();
-    // The compat key pins every answer-affecting shared knob, so lane
-    // 0's config legitimately drives the fused loop.
-    let config = sims[0].config.clone();
-    let opts = BatchRunOptions::default();
-
-    let per_rank: Vec<BatchRankOutput> = match profile {
-        None => vec![try_run_batch_serial(mesh, &config, &lanes, &opts)
-            .map_err(|e| format!("batched solve failed: {e}"))?],
+    // The compat key pins every shared knob, so lane 0's config
+    // legitimately drives the fused loop.
+    let config = &sims[0].config;
+    let ft = FtOptions::default();
+    let per_rank: Vec<Result<Vec<LaneResult>, SolverError>> = match profile {
+        None => vec![specfem_solver::try_run_serial_lanes(
+            mesh, config, &lanes, ft, false,
+        )],
         Some(profile) => {
             let partition = Partition::compute(mesh);
-            let mut outputs = Vec::with_capacity(partition.num_ranks);
-            for r in try_run_batch_partitioned(mesh, &config, &lanes, profile, &partition, &opts) {
-                outputs.push(r.map_err(|e| format!("batched solve failed: {e}"))?);
-            }
-            outputs
+            specfem_solver::try_run_partitioned_lanes(
+                mesh, config, &lanes, profile, ft, &partition, false,
+            )
+            .0
         }
     };
-
-    Ok((0..sims.len())
-        .map(|lane| fan_out_lane(lane, &per_rank, sims[lane]))
+    // Transpose rank-major lane outcomes into one result per lane; a
+    // health trip on any rank fails the lane (and only it).
+    let mut per_lane: Vec<Result<Vec<RankResult>, SolverError>> =
+        sims.iter().map(|_| Ok(Vec::new())).collect();
+    for rank in per_rank {
+        let rank = rank.map_err(|e| format!("batched solve failed: {e}"))?;
+        for (slot, lane) in per_lane.iter_mut().zip(rank) {
+            match (slot.as_mut(), lane) {
+                (Ok(ranks), Ok(r)) => ranks.push(r),
+                (Ok(_), Err(report)) => *slot = Err(SolverError::Health(report)),
+                (Err(_), _) => {}
+            }
+        }
+    }
+    Ok(per_lane
+        .into_iter()
+        .zip(sims)
+        .map(|(ranks, sim)| {
+            let mut ranks = ranks?;
+            // Each lane keeps its *own* correlation id — the fused loop
+            // shares physics knobs across lanes, but tracing identity
+            // stays per-event.
+            ranks
+                .iter_mut()
+                .for_each(|r| r.trace_id = sim.config.trace_id);
+            Ok(SimulationResult::from_ranks(ranks, None, None, &sim.config))
+        })
         .collect())
 }
 
@@ -182,64 +180,10 @@ fn lane_name(sim: &Simulation, index: usize) -> String {
     }
 }
 
-/// Assemble one lane's [`SimulationResult`] from every rank's batch
-/// output. A health trip on any rank fails the lane (and only it).
-fn fan_out_lane(
-    lane: usize,
-    per_rank: &[BatchRankOutput],
-    sim: &Simulation,
-) -> Result<SimulationResult, SolverError> {
-    let mut ranks: Vec<RankResult> = Vec::with_capacity(per_rank.len());
-    for out in per_rank {
-        let lo: &LaneOutput = match &out.lanes[lane] {
-            Ok(lo) => lo,
-            Err(report) => return Err(SolverError::Health(report.clone())),
-        };
-        let first_lane = lane == 0;
-        ranks.push(RankResult {
-            rank: out.rank,
-            seismograms: lo.seismograms.clone(),
-            energy: Vec::new(),
-            elapsed_s: out.elapsed_s,
-            comm: if first_lane {
-                out.comm.clone()
-            } else {
-                StatsSnapshot::default()
-            },
-            flops: if first_lane { out.flops } else { 0 },
-            dt: out.dt,
-            nsteps: out.nsteps,
-            nspec: out.nspec,
-            nglob: out.nglob,
-            station_error_m: lo.station_error_m,
-            snapshots: None,
-            profile: None,
-            lts: None,
-            // Each lane keeps its *own* correlation id — the fused loop
-            // shares physics knobs across lanes, but tracing identity
-            // stays per-event.
-            trace_id: sim.config.trace_id,
-        });
-    }
-    let seismograms = specfem_solver::timeloop::merge_seismograms(&ranks);
-    let dt = ranks.first().map(|r| r.dt).unwrap_or(0.0);
-    let result = SimulationResult {
-        seismograms,
-        ranks,
-        dt,
-        mesher_profile: None,
-        watchdog: None,
-    };
-    // Honor trace_dir autowrite symmetry: batchable() rejects traced
-    // configs, so there is nothing to write here by construction.
-    let _ = sim;
-    Ok(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimulationBuilder;
+    use crate::{KernelVariant, SimulationBuilder};
 
     fn batch_sim(event: &str) -> SimulationBuilder {
         Simulation::builder()
@@ -252,36 +196,33 @@ mod tests {
     #[test]
     fn batchable_screens_unsupported_configs() {
         assert!(batchable(&batch_sim("argentina_deep").build().unwrap()));
-        assert!(!batchable(
-            &batch_sim("argentina_deep")
-                .attenuation(true)
-                .build()
-                .unwrap()
-        ));
-        assert!(!batchable(
-            &batch_sim("argentina_deep").trace(true).build().unwrap()
-        ));
-        assert!(!batchable(
-            &batch_sim("argentina_deep")
-                .watchdog_timeout(std::time::Duration::from_secs(1))
-                .build()
-                .unwrap()
-        ));
-        assert!(!batchable(
-            &batch_sim("argentina_deep")
-                .configure(|c| c.checkpoint_every = 5)
-                .build()
-                .unwrap()
-        ));
-        // Regional meshes have absorbing boundaries — single-lane only.
-        assert!(!batchable(
-            &Simulation::builder()
+        // Still refused: per-lane data the solver does not carry yet, and
+        // the one-deadline-per-solve policy.
+        for refused in [
+            batch_sim("argentina_deep").attenuation(true),
+            batch_sim("argentina_deep").lts_max_rate(2),
+            batch_sim("argentina_deep").energy_every(5),
+            batch_sim("argentina_deep").configure(|c| c.checkpoint_every = 5),
+            batch_sim("argentina_deep").configure(|c| c.snapshot_every = 5),
+            batch_sim("argentina_deep").watchdog_timeout(std::time::Duration::from_secs(1)),
+        ] {
+            assert!(!batchable(&refused.build().unwrap()));
+        }
+        // Lifted: everything the second loop merely never threaded through.
+        for lifted in [
+            batch_sim("argentina_deep").trace(true),
+            batch_sim("argentina_deep").flight_recorder(true),
+            batch_sim("argentina_deep").ocean_load(true),
+            batch_sim("argentina_deep").overlap(false),
+            batch_sim("argentina_deep")
+                .configure(|c| c.fault_plan = Some(specfem_comm::FaultPlan::new(7))),
+            Simulation::builder()
                 .resolution(4)
                 .regional(6_000_000.0)
-                .steps(8)
-                .build()
-                .unwrap()
-        ));
+                .steps(8),
+        ] {
+            assert!(batchable(&lifted.build().unwrap()));
+        }
     }
 
     #[test]

@@ -207,6 +207,26 @@ pub struct SimulationResult {
 }
 
 impl SimulationResult {
+    /// Merge per-rank results of one run (or one lane of a fused run) and
+    /// auto-write its observability artifacts when `config.trace_dir`
+    /// asks for them.
+    fn from_ranks(
+        ranks: Vec<RankResult>,
+        mesher_profile: Option<obs::RankProfile>,
+        watchdog: Option<comm::WatchdogReport>,
+        config: &SolverConfig,
+    ) -> Self {
+        let out = Self {
+            seismograms: specfem_solver::merge_seismograms(&ranks),
+            dt: ranks.first().map_or(0.0, |r| r.dt),
+            ranks,
+            mesher_profile,
+            watchdog,
+        };
+        out.autowrite_observability(config);
+        out
+    }
+
     /// Total flops over all ranks.
     pub fn total_flops(&self) -> u64 {
         self.ranks.iter().map(|r| r.flops).sum()
@@ -350,8 +370,9 @@ impl Simulation {
     /// cache (`specfem_io::ResultCache`) with this.
     pub fn result_key(&self) -> io::ResultKey {
         let mut h = ResultFnv::new();
-        h.bytes(b"specfem-result-v1");
+        h.bytes(b"specfem-result-v2");
         h.u64(self.mesh_key().geometry_fingerprint());
+        hash_shared_physics(&mut h, &self.config);
         // Station set, order included (results are station-ordered).
         h.u64(self.stations.len() as u64);
         for s in &self.stations {
@@ -360,33 +381,7 @@ impl Simulation {
             h.f64(s.lat_deg);
             h.f64(s.lon_deg);
         }
-        let c = &self.config;
-        h.u8(c.exact_station_location as u8);
-        h.u8(match c.variant {
-            KernelVariant::Reference => 0,
-            KernelVariant::Simd => 1,
-            KernelVariant::BlasStyle => 2,
-        });
-        h.u8(c.attenuation as u8);
-        h.u8(c.rotation as u8);
-        h.u8(c.gravity as u8);
-        h.u8(c.ocean_load as u8);
-        h.u8(c.overlap as u8);
-        h.u64(c.nsteps as u64);
-        match c.dt {
-            Some(dt) => {
-                h.u8(1);
-                h.f64(dt);
-            }
-            None => {
-                h.u8(0);
-                h.f64(0.0);
-            }
-        }
-        h.u64(c.record_every as u64);
-        h.u64(c.energy_every as u64);
-        h.u64(c.snapshot_every as u64);
-        hash_source(&mut h, &c.source);
+        hash_source(&mut h, &self.config.source);
         io::ResultKey(h.finish())
     }
 
@@ -503,17 +498,7 @@ impl Simulation {
             .into_iter()
             .map(|r| r.unwrap_or_else(|e| panic!("solver rank failed: {e}")))
             .collect();
-        let seismograms = specfem_solver::timeloop::merge_seismograms(&ranks);
-        let dt = ranks.first().map(|r| r.dt).unwrap_or(0.0);
-        let out = SimulationResult {
-            seismograms,
-            ranks,
-            dt,
-            mesher_profile,
-            watchdog,
-        };
-        out.autowrite_observability(&self.config);
-        out
+        SimulationResult::from_ranks(ranks, mesher_profile, watchdog, &self.config)
     }
 
     /// Fault-tolerant run against a prebuilt mesh with typed errors — the
@@ -669,17 +654,12 @@ impl Simulation {
                 return Err(e);
             }
         };
-        let seismograms = specfem_solver::timeloop::merge_seismograms(&ranks);
-        let dt = ranks.first().map(|r| r.dt).unwrap_or(0.0);
-        let out = SimulationResult {
-            seismograms,
+        Ok(SimulationResult::from_ranks(
             ranks,
-            dt,
             mesher_profile,
             watchdog,
-        };
-        out.autowrite_observability(&self.config);
-        Ok(out)
+            &self.config,
+        ))
     }
 
     /// Fault-tolerant parallel run: every rank writes a checkpoint to
@@ -842,6 +822,76 @@ fn hash_stf(h: &mut ResultFnv, stf: &SourceTimeFunction) {
     });
     h.f64(stf.half_duration);
     h.f64(stf.t_shift);
+}
+
+/// Every answer-affecting [`SolverConfig`] field except the per-event
+/// ones (source; the stations live on the [`Simulation`]) — the physics,
+/// schedule and time-loop shape that fused event lanes share. The one
+/// place both [`Simulation::result_key`] and
+/// [`batch::batch_compat_key`] enumerate the config, so a new physics knob
+/// is added to both or to neither (the `key_sensitivity` test flips every
+/// field). Pure ops knobs stay out: they change how a run is supervised,
+/// not what it computes.
+fn hash_shared_physics(h: &mut ResultFnv, c: &SolverConfig) {
+    // Exhaustive on purpose: a new `SolverConfig` field does not compile
+    // until it is classified here as shared physics (hashed below) or as
+    // per-event / pure ops (`_`).
+    let SolverConfig {
+        variant,
+        attenuation,
+        rotation,
+        gravity,
+        ocean_load,
+        nsteps,
+        dt,
+        record_every,
+        energy_every,
+        snapshot_every,
+        exact_station_location,
+        overlap,
+        lts_max_rate,
+        lts_all_rate_one,
+        source: _,
+        checkpoint_every: _,
+        checkpoint_keep: _,
+        recv_timeout: _,
+        fault_plan: _,
+        trace: _,
+        trace_dir: _,
+        metrics_every: _,
+        health_every: _,
+        watchdog_timeout: _,
+        flight_recorder: _,
+        flight_buffer_events: _,
+        trace_id: _,
+    } = c;
+    h.u8(match variant {
+        KernelVariant::Reference => 0,
+        KernelVariant::Simd => 1,
+        KernelVariant::BlasStyle => 2,
+    });
+    for flag in [
+        attenuation,
+        rotation,
+        gravity,
+        ocean_load,
+        overlap,
+        exact_station_location,
+        lts_all_rate_one,
+    ] {
+        h.u8(*flag as u8);
+    }
+    h.u8(dt.is_some() as u8);
+    h.f64(dt.unwrap_or(0.0));
+    for n in [
+        nsteps,
+        record_every,
+        energy_every,
+        snapshot_every,
+        lts_max_rate,
+    ] {
+        h.u64(*n as u64);
+    }
 }
 
 fn hash_source(h: &mut ResultFnv, source: &SourceSpec) {
@@ -1315,6 +1365,84 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), variants.len() + 1, "result keys collided");
+    }
+
+    /// Flip every `SolverConfig` field and pin which key must move.
+    #[test]
+    fn key_sensitivity() {
+        use std::time::Duration;
+        type Flip = fn(&mut SolverConfig);
+        let base = keyed_sim().build().unwrap();
+        let (result0, compat0) = (base.result_key(), batch::batch_compat_key(&base));
+        assert!(compat0.is_some());
+        let keys_of = |sim: &Simulation| (sim.result_key(), batch::batch_compat_key(sim));
+        let keys = |flip: Flip| {
+            let mut sim = base.clone();
+            flip(&mut sim.config);
+            keys_of(&sim)
+        };
+        // Shared physics: the answer changes and fused lanes must agree on
+        // it (a refused configuration has no compat key at all).
+        let physics: [(&str, Flip); 14] = [
+            ("variant", |c| c.variant = KernelVariant::Simd),
+            ("attenuation", |c| c.attenuation = true),
+            ("rotation", |c| c.rotation = true),
+            ("gravity", |c| c.gravity = true),
+            ("ocean_load", |c| c.ocean_load = true),
+            ("overlap", |c| c.overlap = false),
+            ("nsteps", |c| c.nsteps += 1),
+            ("dt", |c| c.dt = Some(0.05)),
+            ("record_every", |c| c.record_every = 2),
+            ("energy_every", |c| c.energy_every = 5),
+            ("snapshot_every", |c| c.snapshot_every = 5),
+            ("exact_station_location", |c| {
+                c.exact_station_location = true
+            }),
+            ("lts_max_rate", |c| c.lts_max_rate = 2),
+            ("lts_all_rate_one", |c| c.lts_all_rate_one = true),
+        ];
+        for (name, flip) in physics {
+            let (result, compat) = keys(flip);
+            assert_ne!(result, result0, "{name} must change the result key");
+            assert_ne!(compat, compat0, "{name} must split fused batches");
+        }
+        // Per-lane degrees of freedom: a different answer, the same loop.
+        let mut fewer_stations = base.clone();
+        fewer_stations.stations.truncate(1);
+        for (name, (result, compat)) in [
+            ("source", keys(|c| c.source = SourceSpec::None)),
+            ("stations", keys_of(&fewer_stations)),
+        ] {
+            assert_ne!(result, result0, "{name} must change the result key");
+            assert_eq!(compat, compat0, "{name} is what lanes vary");
+        }
+        // Pure ops: never the answer. `true` = supervision the fused loop
+        // takes from lane 0, so it must split batches instead.
+        let ops: [(&str, bool, Flip); 12] = [
+            ("checkpoint_every", true, |c| c.checkpoint_every = 5),
+            ("checkpoint_keep", false, |c| c.checkpoint_keep = 7),
+            ("recv_timeout", true, |c| c.recv_timeout = None),
+            ("fault_plan", true, |c| {
+                c.fault_plan = Some(Default::default())
+            }),
+            ("trace", true, |c| c.trace = true),
+            ("trace_dir", false, |c| c.trace_dir = Some("x".into())),
+            ("metrics_every", true, |c| c.metrics_every = 3),
+            ("health_every", true, |c| c.health_every = 2),
+            ("watchdog_timeout", true, |c| {
+                c.watchdog_timeout = Some(Duration::from_secs(1))
+            }),
+            ("flight_recorder", true, |c| c.flight_recorder = true),
+            ("flight_buffer_events", true, |c| {
+                c.flight_buffer_events = 64
+            }),
+            ("trace_id", false, |c| c.trace_id = Some(obs::TraceId(9))),
+        ];
+        for (name, splits, flip) in ops {
+            let (result, compat) = keys(flip);
+            assert_eq!(result, result0, "{name} must not change the result key");
+            assert_eq!(compat != compat0, splits, "{name} vs the compat key");
+        }
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //!   value;
 //! * with `BATCH_MAX_LANES > 1`, *distinct* concurrent misses that share
 //!   a mesh and timeloop shape (different earthquakes or station sets)
-//!   fuse into one multi-event solve via the campaign's batch packer —
+//!   fuse into the lanes of one solve via the campaign's batch packer —
 //!   one mesh build and one time loop answer K requests, each lane
-//!   bit-identical to its single-event answer;
+//!   bit-identical to its single-event answer and traced like one (the
+//!   daemon's tracing rides along; only a deadline keeps a request out
+//!   of a fused solve);
 //! * results land in a two-tier [`ResultCache`] (LRU memory + SFCN disk
 //!   containers), so repeats are O(1) and survive daemon restarts;
 //! * per-request deadlines bound the wait: the connection gets a typed

@@ -170,20 +170,23 @@ impl AbsorbingSurface {
     }
 
     /// Apply the Stacey traction using the current (predicted) velocity:
-    /// `accel −= w·ρ[v_p (v·n̂)n̂ + v_s v_t]`.
+    /// `accel −= w·ρ[v_p (v·n̂)n̂ + v_s v_t]`, on every lane.
     pub fn apply(&self, fields: &mut WaveFields) {
+        let k = fields.k;
         for ap in &self.points {
-            let p = ap.point as usize;
-            let v = [
-                fields.veloc[p * 3],
-                fields.veloc[p * 3 + 1],
-                fields.veloc[p * 3 + 2],
-            ];
-            let vn = v[0] * ap.normal[0] + v[1] * ap.normal[1] + v[2] * ap.normal[2];
-            for c in 0..3 {
-                let vt = v[c] - vn * ap.normal[c];
-                let traction = ap.rho_vp * vn * ap.normal[c] + ap.rho_vs * vt;
-                fields.accel[p * 3 + c] -= ap.weight * traction;
+            let o = ap.point as usize * 3 * k;
+            for lane in 0..k {
+                let v = [
+                    fields.veloc[o + lane],
+                    fields.veloc[o + k + lane],
+                    fields.veloc[o + 2 * k + lane],
+                ];
+                let vn = v[0] * ap.normal[0] + v[1] * ap.normal[1] + v[2] * ap.normal[2];
+                for c in 0..3 {
+                    let vt = v[c] - vn * ap.normal[c];
+                    let traction = ap.rho_vp * vn * ap.normal[c] + ap.rho_vs * vt;
+                    fields.accel[o + c * k + lane] -= ap.weight * traction;
+                }
             }
         }
     }

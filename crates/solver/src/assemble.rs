@@ -127,10 +127,22 @@ impl MassMatrices {
 }
 
 /// The global degrees of freedom of one rank: solid displacement/velocity/
-/// acceleration (3 components, point-major `[p·3 + c]`) and the fluid
-/// potential χ and its time derivatives.
+/// acceleration (3 components) and the fluid potential χ and its time
+/// derivatives, for `k` event lanes sharing the mesh.
+///
+/// Layout is lane-major (`specfem_kernels::lane_major`): vector fields
+/// store `[(p·3 + c)·k + lane]`, scalar fields `[p·k + lane]`. At `k = 1`
+/// that *is* the point-major `[p·3 + c]` / `[p]` layout of a single run.
+/// The `k` lane values of one slot are contiguous, which is what lets the
+/// halo layer pack all lanes of a shared point into one message
+/// (`ncomp = 3k` / `k`) and the batched kernels stream `k` products per
+/// coefficient load. Lanes never mix: every update below is the same
+/// per-lane f32 operation sequence for any `k`, so a lane of a `k`-lane
+/// run is bit-identical to the single run it replaces.
 #[derive(Debug, Clone)]
 pub struct WaveFields {
+    /// Number of event lanes.
+    pub k: usize,
     pub displ: Vec<f32>,
     pub veloc: Vec<f32>,
     pub accel: Vec<f32>,
@@ -140,20 +152,38 @@ pub struct WaveFields {
 }
 
 impl WaveFields {
-    /// Zero-initialized fields for `nglob` points.
+    /// Zero-initialized single-lane fields for `nglob` points.
     pub fn zeros(nglob: usize) -> Self {
+        Self::with_lanes(nglob, 1)
+    }
+
+    /// Zero-initialized fields for `k` event lanes over `nglob` points.
+    pub fn with_lanes(nglob: usize, k: usize) -> Self {
+        assert!((1..=specfem_kernels::MAX_BATCH_LANES).contains(&k));
         Self {
-            displ: vec![0.0; nglob * 3],
-            veloc: vec![0.0; nglob * 3],
-            accel: vec![0.0; nglob * 3],
-            chi: vec![0.0; nglob],
-            chi_dot: vec![0.0; nglob],
-            chi_ddot: vec![0.0; nglob],
+            k,
+            displ: vec![0.0; nglob * 3 * k],
+            veloc: vec![0.0; nglob * 3 * k],
+            accel: vec![0.0; nglob * 3 * k],
+            chi: vec![0.0; nglob * k],
+            chi_dot: vec![0.0; nglob * k],
+            chi_ddot: vec![0.0; nglob * k],
+        }
+    }
+
+    /// One lane of `field` in the single-lane layout (health scans,
+    /// checkpoints, oracles); borrowed as-is at `k = 1`.
+    pub fn lane<'a>(&self, field: &'a [f32], lane: usize) -> std::borrow::Cow<'a, [f32]> {
+        if self.k == 1 {
+            field.into()
+        } else {
+            field.iter().skip(lane).step_by(self.k).copied().collect()
         }
     }
 
     /// Newmark predictor: `u += dt·v + dt²/2·a; v += dt/2·a; a = 0`, for
-    /// both solid and fluid unknowns.
+    /// both solid and fluid unknowns (element-wise, so lane order is
+    /// irrelevant — each lane only reads its own slots).
     pub fn predictor(&mut self, dt: f32) {
         let half_dt = 0.5 * dt;
         let dt2_half = 0.5 * dt * dt;
@@ -182,28 +212,26 @@ impl WaveFields {
     /// Newmark corrector for the solid: `a ← a/M; v += dt/2·a` (only where
     /// solid mass exists).
     pub fn corrector_solid(&mut self, mass: &[f32], dt: f32) {
-        let half_dt = 0.5 * dt;
-        for (p, &m) in mass.iter().enumerate() {
-            if m > 0.0 {
-                let inv = 1.0 / m;
-                for c in 0..3 {
-                    let a = &mut self.accel[p * 3 + c];
-                    *a *= inv;
-                    self.veloc[p * 3 + c] += half_dt * *a;
-                }
-            }
-        }
+        correct(&mut self.accel, &mut self.veloc, mass, 3 * self.k, dt);
     }
 
     /// Newmark corrector for the fluid potential.
     pub fn corrector_fluid(&mut self, mass: &[f32], dt: f32) {
-        let half_dt = 0.5 * dt;
-        for (p, &m) in mass.iter().enumerate() {
-            if m > 0.0 {
-                let inv = 1.0 / m;
-                let a = &mut self.chi_ddot[p];
+        correct(&mut self.chi_ddot, &mut self.chi_dot, mass, self.k, dt);
+    }
+}
+
+/// `a ← a/M; v += dt/2·a` on the `width` contiguous slots of every point
+/// with mass (`1/M` hoisted per point).
+fn correct(accel: &mut [f32], veloc: &mut [f32], mass: &[f32], width: usize, dt: f32) {
+    let half_dt = 0.5 * dt;
+    for (p, &m) in mass.iter().enumerate() {
+        if m > 0.0 {
+            let inv = 1.0 / m;
+            let slots = p * width..(p + 1) * width;
+            for (a, v) in accel[slots.clone()].iter_mut().zip(&mut veloc[slots]) {
                 *a *= inv;
-                self.chi_dot[p] += half_dt * *a;
+                *v += half_dt * *a;
             }
         }
     }
@@ -299,6 +327,59 @@ mod tests {
         assert_eq!(f.chi_ddot[0], 2.0);
         assert_eq!(f.chi_ddot[1], 4.0); // untouched
         assert_eq!(f.chi_dot[0], 0.5);
+    }
+
+    #[test]
+    fn predictor_and_correctors_match_single_lane_bitwise() {
+        // Two different states as the lanes of one 2-lane field set and as
+        // two single-lane sets: every update must agree to the bit.
+        let (nglob, k) = (7, 2);
+        let mut fused = WaveFields::with_lanes(nglob, k);
+        let mut solo: Vec<WaveFields> = (0..k).map(|_| WaveFields::zeros(nglob)).collect();
+        let mut x = 1.0f32;
+        for lane in 0..k {
+            for slot in 0..nglob * 3 {
+                x = (x * 1.1 + 0.3).sin();
+                fused.displ[slot * k + lane] = x;
+                fused.veloc[slot * k + lane] = x * 0.5;
+                fused.accel[slot * k + lane] = x * 0.25;
+                solo[lane].displ[slot] = x;
+                solo[lane].veloc[slot] = x * 0.5;
+                solo[lane].accel[slot] = x * 0.25;
+            }
+            for p in 0..nglob {
+                x = (x * 1.7 + 0.1).cos();
+                fused.chi[p * k + lane] = x;
+                fused.chi_dot[p * k + lane] = -x;
+                fused.chi_ddot[p * k + lane] = 2.0 * x;
+                solo[lane].chi[p] = x;
+                solo[lane].chi_dot[p] = -x;
+                solo[lane].chi_ddot[p] = 2.0 * x;
+            }
+        }
+        let mass: Vec<f32> = (0..nglob)
+            .map(|p| if p == 3 { 0.0 } else { 1.0 + p as f32 * 0.37 })
+            .collect();
+        let step = |f: &mut WaveFields| {
+            f.predictor(0.125);
+            f.corrector_solid(&mass, 0.125);
+            f.corrector_fluid(&mass, 0.125);
+        };
+        step(&mut fused);
+        solo.iter_mut().for_each(step);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (lane, s) in solo.iter().enumerate() {
+            for (got, want) in [
+                (&fused.displ, &s.displ),
+                (&fused.veloc, &s.veloc),
+                (&fused.accel, &s.accel),
+                (&fused.chi, &s.chi),
+                (&fused.chi_dot, &s.chi_dot),
+                (&fused.chi_ddot, &s.chi_ddot),
+            ] {
+                assert_eq!(bits(&fused.lane(got, lane)), bits(want));
+            }
+        }
     }
 
     #[test]

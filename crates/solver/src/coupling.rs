@@ -105,26 +105,34 @@ impl CouplingSurface {
     }
 
     /// Fluid side: `χ̈_rhs += ∮ w (u_s · n̂) dΓ` — call *before* the fluid
-    /// halo assembly, using the predicted solid displacement.
+    /// halo assembly, using the predicted solid displacement (every lane).
     pub fn add_solid_displacement_to_fluid(&self, fields: &mut WaveFields) {
+        let k = fields.k;
         for cp in &self.points {
-            let p = cp.point as usize;
-            let dot = fields.displ[p * 3] * cp.nw[0]
-                + fields.displ[p * 3 + 1] * cp.nw[1]
-                + fields.displ[p * 3 + 2] * cp.nw[2];
-            fields.chi_ddot[p] += dot;
+            let o = cp.point as usize * 3 * k;
+            let co = cp.point as usize * k;
+            for lane in 0..k {
+                let dot = fields.displ[o + lane] * cp.nw[0]
+                    + fields.displ[o + k + lane] * cp.nw[1]
+                    + fields.displ[o + 2 * k + lane] * cp.nw[2];
+                fields.chi_ddot[co + lane] += dot;
+            }
         }
     }
 
     /// Solid side: traction `χ̈ n̂_s = −χ̈ n̂_f` — call with the *final*
-    /// fluid acceleration, before the solid halo assembly.
+    /// fluid acceleration, before the solid halo assembly (every lane).
     pub fn add_fluid_pressure_to_solid(&self, fields: &mut WaveFields) {
+        let k = fields.k;
         for cp in &self.points {
-            let p = cp.point as usize;
-            let chiddot = fields.chi_ddot[p];
-            fields.accel[p * 3] -= cp.nw[0] * chiddot;
-            fields.accel[p * 3 + 1] -= cp.nw[1] * chiddot;
-            fields.accel[p * 3 + 2] -= cp.nw[2] * chiddot;
+            let o = cp.point as usize * 3 * k;
+            let co = cp.point as usize * k;
+            for lane in 0..k {
+                let chiddot = fields.chi_ddot[co + lane];
+                fields.accel[o + lane] -= cp.nw[0] * chiddot;
+                fields.accel[o + k + lane] -= cp.nw[1] * chiddot;
+                fields.accel[o + 2 * k + lane] -= cp.nw[2] * chiddot;
+            }
         }
     }
 

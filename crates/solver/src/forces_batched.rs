@@ -1,5 +1,6 @@
 //! Batched internal-force kernels: the solid and fluid routines of
-//! `specfem_solver::forces` with an innermost event-lane dimension K.
+//! [`crate::forces`] with an innermost event-lane dimension K — what the
+//! step pipeline runs when the fields carry more than one lane.
 //!
 //! The geometry and material terms (metric tensor, Jacobian, μ, κ, ρ,
 //! gravity profile) are shared across all lanes — that sharing is the
@@ -9,34 +10,30 @@
 //! tree, same evaluation order), and the cut-plane products go through
 //! `specfem_kernels::batched`, so each lane's f32 sequence is exactly
 //! the single-lane sequence — the zero-ULP oracle in
-//! `tests/batch_oracle.rs` holds per lane, per variant.
+//! `crates/batch/tests/batch_oracle.rs` holds per lane, per variant.
 //!
-//! Attenuation is not offered on the batched path (per-lane SLS memory
-//! would triple the bank footprint); the campaign packer never fuses
-//! attenuating jobs.
+//! Attenuation is not offered at K > 1: the SLS memory variables are
+//! per-lane data the fields do not carry yet
+//! (see [`crate::timeloop::lanes_supported`]).
 
 use specfem_kernels::{
     batched_cutplane_derivatives, batched_cutplane_transpose_accumulate, DerivOps, FlopCounter,
     KernelVariant, NGLL, NGLL3,
 };
 use specfem_mesh::LocalMesh;
-use specfem_solver::PrecomputedGeometry;
 
-use crate::bank::WavefieldBank;
+use crate::assemble::{PrecomputedGeometry, WaveFields};
 
-/// Heap scratch for the batched element kernels (the single-lane solver
-/// uses stack arrays; at K lanes the blocks are `NGLL3·K` floats and go
+/// Heap scratch for the batched element kernels (the single-lane kernels
+/// use stack arrays; at K lanes the blocks are `NGLL3·K` floats and go
 /// on the heap once per solver, not per element).
 pub struct BatchScratch {
+    // The scalar fluid kernel reuses component 0 of `u`, `t` and `f`.
     u: [Vec<f32>; 3],
     t: [[Vec<f32>; 3]; 3],
     f: [[Vec<f32>; 3]; 3],
     body: [Vec<f32>; 3],
     accum: Vec<f32>,
-    chi: Vec<f32>,
-    ft1: Vec<f32>,
-    ft2: Vec<f32>,
-    ft3: Vec<f32>,
 }
 
 impl BatchScratch {
@@ -49,31 +46,28 @@ impl BatchScratch {
             f: std::array::from_fn(|_| std::array::from_fn(|_| block())),
             body: std::array::from_fn(|_| block()),
             accum: block(),
-            chi: block(),
-            ft1: block(),
-            ft2: block(),
-            ft3: block(),
         }
     }
 }
 
 /// Batched solid internal forces: `accel -= K·displ` on every lane, plus
-/// the optional Cowling gravity body force. Mirrors
-/// `compute_solid_forces_range(.., 0..nspec)` per lane.
+/// the optional Cowling gravity body force, over the local elements in
+/// `elems`. Mirrors [`crate::forces::compute_solid_forces_range`] per lane.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_solid_forces_batched(
     mesh: &LocalMesh,
     geom: &PrecomputedGeometry,
     ops: &DerivOps,
     variant: KernelVariant,
-    bank: &mut WavefieldBank,
+    fields: &mut WaveFields,
     gravity: bool,
     flops: &mut FlopCounter,
     s: &mut BatchScratch,
+    elems: std::ops::Range<usize>,
 ) {
     let n3 = mesh.points_per_element();
     assert_eq!(n3, NGLL3, "solver kernels are specialized to degree 4");
-    let k = bank.k;
+    let k = fields.k;
     let w = &mesh.basis.weights;
     let mut wf = [0.0f32; NGLL];
     for i in 0..NGLL {
@@ -81,7 +75,7 @@ pub fn compute_solid_forces_batched(
     }
 
     let mut nsolid = 0usize;
-    for e in 0..mesh.nspec {
+    for e in elems {
         if mesh.region[e].is_fluid() {
             continue;
         }
@@ -89,19 +83,15 @@ pub fn compute_solid_forces_batched(
         let base = e * n3;
         let ib = &mesh.ibool[base..base + n3];
         // Lane-major gather: a point's K lane values are contiguous in
-        // the bank, so each (l, c) slot is one memcpy of K floats.
+        // the fields, so each (l, c) slot is one memcpy of K floats.
         for (c, uc) in s.u.iter_mut().enumerate() {
             for (l, &p) in ib.iter().enumerate() {
                 let src = (p as usize * 3 + c) * k;
-                uc[l * k..l * k + k].copy_from_slice(&bank.displ[src..src + k]);
+                uc[l * k..l * k + k].copy_from_slice(&fields.displ[src..src + k]);
             }
         }
-        for c in 0..3 {
-            let (t0, rest) = s.t[c].split_at_mut(1);
-            let (t1, t2) = rest.split_at_mut(1);
-            batched_cutplane_derivatives(
-                variant, &s.u[c], k, ops, &mut t0[0], &mut t1[0], &mut t2[0],
-            );
+        for (u, [t0, t1, t2]) in s.u.iter().zip(&mut s.t) {
+            batched_cutplane_derivatives(variant, u, k, ops, t0, t1, t2);
         }
         if gravity {
             for b in s.body.iter_mut() {
@@ -208,14 +198,15 @@ pub fn compute_solid_forces_batched(
                 for (l, &p) in ib.iter().enumerate() {
                     let dst = (p as usize * 3 + c) * k;
                     for lane in 0..k {
-                        bank.accel[dst + lane] += -s.accum[l * k + lane] + s.body[c][l * k + lane];
+                        fields.accel[dst + lane] +=
+                            -s.accum[l * k + lane] + s.body[c][l * k + lane];
                     }
                 }
             } else {
                 for (l, &p) in ib.iter().enumerate() {
                     let dst = (p as usize * 3 + c) * k;
                     for lane in 0..k {
-                        bank.accel[dst + lane] -= s.accum[l * k + lane];
+                        fields.accel[dst + lane] -= s.accum[l * k + lane];
                     }
                 }
             }
@@ -224,19 +215,22 @@ pub fn compute_solid_forces_batched(
     flops.add_solid_elements(nsolid * k, false);
 }
 
-/// Batched fluid (outer-core) internal forces: `χ̈ -= K_f·χ` per lane.
-/// Mirrors `compute_fluid_forces_range(.., 0..nspec)` per lane.
+/// Batched fluid (outer-core) internal forces: `χ̈ -= K_f·χ` per lane,
+/// over the local elements in `elems`. Mirrors
+/// [`crate::forces::compute_fluid_forces_range`] per lane.
+#[allow(clippy::too_many_arguments)]
 pub fn compute_fluid_forces_batched(
     mesh: &LocalMesh,
     geom: &PrecomputedGeometry,
     ops: &DerivOps,
     variant: KernelVariant,
-    bank: &mut WavefieldBank,
+    fields: &mut WaveFields,
     flops: &mut FlopCounter,
     s: &mut BatchScratch,
+    elems: std::ops::Range<usize>,
 ) {
     let n3 = mesh.points_per_element();
-    let k = bank.k;
+    let k = fields.k;
     let w = &mesh.basis.weights;
     let mut wf = [0.0f32; NGLL];
     for i in 0..NGLL {
@@ -244,18 +238,20 @@ pub fn compute_fluid_forces_batched(
     }
 
     let mut nfluid = 0usize;
-    for e in 0..mesh.nspec {
+    for e in elems {
         if !mesh.region[e].is_fluid() {
             continue;
         }
         nfluid += 1;
         let base = e * n3;
         let ib = &mesh.ibool[base..base + n3];
+        let chi = &mut s.u[0];
         for (l, &p) in ib.iter().enumerate() {
             let src = p as usize * k;
-            s.chi[l * k..l * k + k].copy_from_slice(&bank.chi[src..src + k]);
+            chi[l * k..l * k + k].copy_from_slice(&fields.chi[src..src + k]);
         }
-        batched_cutplane_derivatives(variant, &s.chi, k, ops, &mut s.ft1, &mut s.ft2, &mut s.ft3);
+        let [ft1, ft2, ft3] = &mut s.t[0];
+        batched_cutplane_derivatives(variant, chi, k, ops, ft1, ft2, ft3);
         for kk in 0..NGLL {
             for j in 0..NGLL {
                 for i in 0..NGLL {
@@ -272,11 +268,11 @@ pub fn compute_fluid_forces_batched(
                     let o = l * k;
                     for lane in 0..k {
                         let dchi_dx =
-                            s.ft1[o + lane] * xix + s.ft2[o + lane] * etx + s.ft3[o + lane] * gax;
+                            ft1[o + lane] * xix + ft2[o + lane] * etx + ft3[o + lane] * gax;
                         let dchi_dy =
-                            s.ft1[o + lane] * xiy + s.ft2[o + lane] * ety + s.ft3[o + lane] * gay;
+                            ft1[o + lane] * xiy + ft2[o + lane] * ety + ft3[o + lane] * gay;
                         let dchi_dz =
-                            s.ft1[o + lane] * xiz + s.ft2[o + lane] * etz + s.ft3[o + lane] * gaz;
+                            ft1[o + lane] * xiz + ft2[o + lane] * etz + ft3[o + lane] * gaz;
                         let gx = inv_rho * dchi_dx;
                         let gy = inv_rho * dchi_dy;
                         let gz = inv_rho * dchi_dz;
@@ -300,7 +296,7 @@ pub fn compute_fluid_forces_batched(
         for (l, &p) in ib.iter().enumerate() {
             let dst = p as usize * k;
             for lane in 0..k {
-                bank.chi_ddot[dst + lane] -= s.accum[l * k + lane];
+                fields.chi_ddot[dst + lane] -= s.accum[l * k + lane];
             }
         }
     }

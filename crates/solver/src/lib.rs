@@ -31,6 +31,7 @@ pub mod assemble;
 pub mod checkpoint;
 pub mod coupling;
 pub mod forces;
+pub mod forces_batched;
 pub mod lts;
 pub mod source;
 pub mod surface;
@@ -42,11 +43,11 @@ pub use assemble::{MassMatrices, PrecomputedGeometry, WaveFields};
 pub use checkpoint::{CheckpointError, CheckpointSink, CheckpointState, MemorySink};
 pub use coupling::CouplingSurface;
 pub use lts::{LtsLevel, LtsState, LtsSummary};
-pub use source::{ReceiverSet, Seismogram, SourceArrays, SourceSpec};
+pub use source::{EventLane, ReceiverSet, Seismogram, SourceArrays, SourceSpec};
 pub use timeloop::{
-    merge_seismograms, run_distributed, run_serial, try_run_distributed,
-    try_run_distributed_watched, try_run_partitioned, try_run_serial, FtOptions, RankResult,
-    RankSolver, SolverError,
+    lanes_supported, merge_seismograms, run_distributed, run_serial, try_run_distributed,
+    try_run_distributed_watched, try_run_partitioned, try_run_partitioned_lanes, try_run_serial,
+    try_run_serial_lanes, FtOptions, LaneResult, RankResult, RankSolver, SolverError,
 };
 // In-flight telemetry types surfaced through the solver's API.
 pub use specfem_comm::{WatchdogConfig, WatchdogReport};

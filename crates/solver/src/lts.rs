@@ -2,9 +2,12 @@
 //!
 //! `specfem_mesh::lts` buckets elements into rate-2^k clusters from their
 //! per-element Courant bound; this module holds the run-time state the
-//! timeloop needs to *act* on those clusters: per-level element lists split
-//! along the existing outer/inner halo boundary, frozen force-contribution
-//! buffers, and per-level attenuation recursion constants.
+//! step pipeline needs to *act* on those clusters: per-level element lists
+//! split along the existing outer/inner halo boundary, frozen
+//! force-contribution buffers, and per-level attenuation recursion
+//! constants. LTS is not a second loop: it only changes what the
+//! pipeline's `compute(range)` does — refresh the active clusters'
+//! contributions inside `range`, then scatter `range` in ascending order.
 //!
 //! ## Force-freezing scheme
 //!
@@ -66,6 +69,16 @@ impl LtsLevel {
     /// Whether the cluster is empty on this rank.
     pub fn is_empty(&self) -> bool {
         self.outer.is_empty() && self.inner.is_empty()
+    }
+
+    /// The cluster's elements inside the local element `range`, ascending
+    /// (the outer part, then the inner part).
+    pub fn elements_in(&self, range: &std::ops::Range<usize>) -> [&[u32]; 2] {
+        [&self.outer, &self.inner].map(|list| {
+            let lo = list.partition_point(|&e| (e as usize) < range.start);
+            let hi = list.partition_point(|&e| (e as usize) < range.end);
+            &list[lo..hi]
+        })
     }
 }
 
@@ -142,6 +155,22 @@ impl LtsState {
         Self::new(mesh, clusters.rate_of, cap as u32, atten)
     }
 
+    /// Per-step bookkeeping once both force phases ran: the scatters'
+    /// per-point adds (3 per solid point, 1 per fluid point — so flop
+    /// accounting stays comparable with direct-kernel runs), and the
+    /// element-steps the inactive clusters skipped (tallied once per
+    /// element per fine step).
+    pub fn end_step(&mut self, mesh: &LocalMesh, istep: usize, flops: &mut FlopCounter) {
+        let n3 = mesh.points_per_element();
+        let nfluid = mesh.region.iter().filter(|r| r.is_fluid()).count();
+        flops.add_raw(((mesh.nspec - nfluid) * n3 * 3 + nfluid * n3) as u64);
+        for lv in &self.levels {
+            if !lv.active(istep) {
+                self.element_steps_saved += lv.len() as u64;
+            }
+        }
+    }
+
     /// Package the run's LTS telemetry.
     pub fn summary(&self, nspec: usize, steps_run: usize) -> LtsSummary {
         let total = nspec as u64 * steps_run as u64;
@@ -176,62 +205,33 @@ pub struct LtsSummary {
     pub theoretical_speedup: f64,
 }
 
-/// Add every solid element's frozen contribution in `range` into `accel` —
-/// the canonical ascending scatter the bit-identity argument relies on.
-/// Fluid elements are *skipped*, not added as stored zeros: `−0.0 + 0.0`
-/// would flip the sign bit of a negative zero.
-pub fn scatter_solid(
+/// Add the frozen contribution of every element of one medium in `range`
+/// into its right-hand side (`accel`, `ncomp = 3`, for the solid elements;
+/// `chi_ddot`, `ncomp = 1`, for the fluid ones) — the canonical ascending
+/// scatter the bit-identity argument relies on. Elements of the other
+/// medium are *skipped*, not added as stored zeros: `−0.0 + 0.0` would
+/// flip the sign bit of a negative zero.
+pub fn scatter(
     mesh: &LocalMesh,
     contrib: &[f32],
-    accel: &mut [f32],
+    rhs: &mut [f32],
+    ncomp: usize,
     range: std::ops::Range<usize>,
 ) {
     let n3 = mesh.points_per_element();
     for e in range {
-        if mesh.region[e].is_fluid() {
+        if mesh.region[e].is_fluid() != (ncomp == 1) {
             continue;
         }
         let base = e * n3;
         let ib = &mesh.ibool[base..base + n3];
         for (l, &p) in ib.iter().enumerate() {
-            let src = (base + l) * 3;
-            let dst = p as usize * 3;
-            for c in 0..3 {
-                accel[dst + c] += contrib[src + c];
+            let (src, dst) = ((base + l) * ncomp, p as usize * ncomp);
+            for c in 0..ncomp {
+                rhs[dst + c] += contrib[src + c];
             }
         }
     }
-}
-
-/// Fluid counterpart of [`scatter_solid`]: add frozen `χ̈` contributions of
-/// the fluid elements in `range`.
-pub fn scatter_fluid(
-    mesh: &LocalMesh,
-    contrib: &[f32],
-    chi_ddot: &mut [f32],
-    range: std::ops::Range<usize>,
-) {
-    let n3 = mesh.points_per_element();
-    for e in range {
-        if !mesh.region[e].is_fluid() {
-            continue;
-        }
-        let base = e * n3;
-        let ib = &mesh.ibool[base..base + n3];
-        for (l, &p) in ib.iter().enumerate() {
-            chi_ddot[p as usize] += contrib[base + l];
-        }
-    }
-}
-
-/// Count the scatter's per-point adds so flop accounting stays comparable
-/// between plain and LTS runs (3 adds per solid point, 1 per fluid point —
-/// bookkeeping, not kernel work).
-pub fn scatter_flops(mesh: &LocalMesh, flops: &mut FlopCounter) {
-    let n3 = mesh.points_per_element();
-    let nfluid = mesh.region.iter().filter(|r| r.is_fluid()).count();
-    let nsolid = mesh.nspec - nfluid;
-    flops.add_raw((nsolid * n3 * 3 + nfluid * n3) as u64);
 }
 
 #[cfg(test)]

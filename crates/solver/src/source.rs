@@ -57,6 +57,19 @@ impl Default for SourceSpec {
     }
 }
 
+/// One event lane of a run: its earthquake and the stations whose
+/// seismograms it owes. A plain run is one lane; a fused K-event run
+/// shares the mesh, the physics and the halo exchange across K of them.
+#[derive(Debug, Clone)]
+pub struct EventLane {
+    /// Job/event name (diagnostics only).
+    pub name: String,
+    /// The lane's source.
+    pub source: SourceSpec,
+    /// The lane's station set.
+    pub stations: Vec<Station>,
+}
+
 /// Precomputed nodal force coefficients of the source on its element.
 #[derive(Debug, Clone, Default)]
 pub struct SourceArrays {
@@ -230,16 +243,18 @@ impl SourceArrays {
         }
     }
 
-    /// Add the source force at time `t` to the solid acceleration RHS.
-    pub fn apply(&self, t: f64, fields: &mut WaveFields) {
+    /// Add the source force at time `t` to lane `lane` of the solid
+    /// acceleration RHS.
+    pub fn apply(&self, t: f64, fields: &mut WaveFields, lane: usize) {
+        let k = fields.k;
         if let Some((weights, samples, dt)) = &self.trace {
             let idx = (t / dt).round() as usize;
             let Some(s) = samples.get(idx) else { return };
             for &(p, w) in weights {
-                let p = p as usize;
-                fields.accel[p * 3] += w * s[0];
-                fields.accel[p * 3 + 1] += w * s[1];
-                fields.accel[p * 3 + 2] += w * s[2];
+                let o = p as usize * 3 * k + lane;
+                fields.accel[o] += w * s[0];
+                fields.accel[o + k] += w * s[1];
+                fields.accel[o + 2 * k] += w * s[2];
             }
             return;
         }
@@ -249,10 +264,10 @@ impl SourceArrays {
             return;
         }
         for &(p, f) in &self.entries {
-            let p = p as usize;
-            fields.accel[p * 3] += s * f[0];
-            fields.accel[p * 3 + 1] += s * f[1];
-            fields.accel[p * 3 + 2] += s * f[2];
+            let o = p as usize * 3 * k + lane;
+            fields.accel[o] += s * f[0];
+            fields.accel[o + k] += s * f[1];
+            fields.accel[o + 2 * k] += s * f[2];
         }
     }
 }
@@ -348,17 +363,10 @@ impl ReceiverSet {
             .fold(0.0, f64::max)
     }
 
-    /// Record the current velocity at every station.
-    pub fn record(&mut self, mesh: &LocalMesh, fields: &WaveFields) {
-        self.record_with(mesh, |p, c| fields.veloc[p * 3 + c])
-    }
-
-    /// Record with a caller-supplied velocity accessor `veloc_at(point,
-    /// component)` — the batched solver reads one event lane out of its
-    /// lane-major bank through this, reusing the exact interpolation
-    /// sequence of the single-lane path.
-    pub fn record_with(&mut self, mesh: &LocalMesh, veloc_at: impl Fn(usize, usize) -> f32) {
+    /// Record lane `lane`'s current velocity at every station.
+    pub fn record(&mut self, mesh: &LocalMesh, fields: &WaveFields, lane: usize) {
         let n3 = mesh.points_per_element();
+        let k = fields.k;
         for ((_, loc), rec) in self.located.iter().zip(&mut self.records) {
             let ev = loc.evaluator(&mesh.basis.points);
             let base = loc.element * n3;
@@ -366,7 +374,7 @@ impl ReceiverSet {
             for c in 0..3 {
                 let comp: Vec<f64> = mesh.ibool[base..base + n3]
                     .iter()
-                    .map(|&p| veloc_at(p as usize, c) as f64)
+                    .map(|&p| fields.veloc[(p as usize * 3 + c) * k + lane] as f64)
                     .collect();
                 v[c] = ev.interpolate(&comp) as f32;
             }
@@ -486,10 +494,10 @@ mod tests {
         let mesh = serial_mesh();
         let arrays = SourceArrays::build(&mesh, &SourceSpec::default());
         let mut f0 = WaveFields::zeros(mesh.nglob);
-        arrays.apply(0.0, &mut f0); // Ricker at t=0 ≈ 0
+        arrays.apply(0.0, &mut f0, 0); // Ricker at t=0 ≈ 0
         let mut fpeak = WaveFields::zeros(mesh.nglob);
         let tpeak = arrays.stf.unwrap().t_shift;
-        arrays.apply(tpeak, &mut fpeak);
+        arrays.apply(tpeak, &mut fpeak, 0);
         let norm = |f: &WaveFields| {
             f.accel
                 .iter()
@@ -506,7 +514,7 @@ mod tests {
         assert!(arrays.entries.is_empty());
         assert!(arrays.locate_cost().is_infinite());
         let mut f = WaveFields::zeros(mesh.nglob);
-        arrays.apply(5.0, &mut f);
+        arrays.apply(5.0, &mut f, 0);
         assert!(f.accel.iter().all(|&a| a == 0.0));
     }
 
@@ -521,9 +529,9 @@ mod tests {
         let mut rx = ReceiverSet::locate(&mesh, &stations, true);
         let mut fields = WaveFields::zeros(mesh.nglob);
         fields.veloc.iter_mut().for_each(|v| *v = 2.0);
-        rx.record(&mesh, &fields);
+        rx.record(&mesh, &fields, 0);
         fields.veloc.iter_mut().for_each(|v| *v = -1.0);
-        rx.record(&mesh, &fields);
+        rx.record(&mesh, &fields, 0);
         let seis = rx.into_seismograms(0.1);
         assert_eq!(seis.len(), 1);
         assert_eq!(seis[0].data.len(), 2);

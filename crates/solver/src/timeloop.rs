@@ -2,17 +2,23 @@
 //! coupling, solid solve, halo assembly, correctors — the "main loop of the
 //! solver component" whose communication share the paper measures at
 //! 1.9–4.2 % (§5).
+//!
+//! This is the only time loop in the workspace: halo schedule, local time
+//! stepping and the number of fused event lanes are data to it, not
+//! sibling loops (DESIGN.md, "The step pipeline").
 
 use std::fmt;
+use std::ops::Range;
 use std::time::Instant;
 
 use specfem_comm::{
-    assemble_halo, finish_halo_assembly, post_halo_exchange, tags, CommError, Communicator,
-    FaultyComm, NetworkProfile, SerialComm, StatsSnapshot, ThreadWorld,
+    finish_halo_assembly, post_halo_exchange, tags, CommError, Communicator, FaultyComm,
+    NetworkProfile, SerialComm, StatsSnapshot, ThreadWorld,
 };
-use specfem_kernels::{DerivOps, FlopCounter};
+use specfem_kernels::{DerivOps, FlopCounter, MAX_BATCH_LANES};
 use specfem_mesh::stations::Station;
 use specfem_mesh::{GlobalMesh, LocalMesh, Partition};
+use specfem_obs::{HealthMonitor, HealthReport};
 
 use crate::absorbing::AbsorbingSurface;
 use crate::assemble::{region_masks, MassMatrices, PrecomputedGeometry, WaveFields};
@@ -22,8 +28,11 @@ use crate::forces::{
     compute_fluid_contribs, compute_fluid_forces_range, compute_solid_contribs,
     compute_solid_forces_range, AttenuationState,
 };
-use crate::lts::{scatter_flops, scatter_fluid, scatter_solid, LtsState, LtsSummary};
-use crate::source::{ReceiverSet, Seismogram, SourceArrays};
+use crate::forces_batched::{
+    compute_fluid_forces_batched, compute_solid_forces_batched, BatchScratch,
+};
+use crate::lts::{scatter, LtsState, LtsSummary};
+use crate::source::{EventLane, ReceiverSet, Seismogram, SourceArrays};
 use crate::{SolverConfig, EARTH_OMEGA_RAD_S};
 
 /// Why a rank's run failed.
@@ -80,7 +89,7 @@ impl From<CheckpointError> for SolverError {
     }
 }
 
-/// Everything one rank returns from a run.
+/// Everything one rank returns from a run, for one event lane.
 #[derive(Debug, Clone)]
 pub struct RankResult {
     /// Rank id.
@@ -117,6 +126,9 @@ pub struct RankResult {
     /// from `config.trace_id` so result consumers can stitch the rank
     /// into an end-to-end timeline.
     pub trace_id: Option<specfem_obs::TraceId>,
+    /// The lane's final wavefield and records (only when the run was asked
+    /// to capture it — the differential oracles compare these).
+    pub final_state: Option<CheckpointState>,
 }
 
 impl RankResult {
@@ -129,6 +141,37 @@ impl RankResult {
     pub fn comm_fraction(&self) -> f64 {
         self.comm.wall_time_s / self.elapsed_s.max(1e-12)
     }
+}
+
+/// One lane's outcome on one rank: its result, or the health report that
+/// poisoned it while its siblings completed.
+///
+/// What the fused loop physically shares — communication statistics,
+/// flops, energy/snapshot series, LTS telemetry — is reported once, on
+/// the first healthy lane (lane 0 of a healthy run); the other lanes
+/// carry empty counters, so summing telemetry over lanes never
+/// double-counts. Wall time and the rank's span profile describe the
+/// whole fused solve and are reported on every lane.
+pub type LaneResult = Result<RankResult, HealthReport>;
+
+/// The lane-scoped half of the solver state.
+struct Lane {
+    source: SourceArrays,
+    apply_source: bool,
+    receivers: ReceiverSet,
+    /// Numerical-health monitor (disabled when `config.health_every == 0`;
+    /// the disabled path never touches the fields).
+    health: HealthMonitor,
+    /// The trip that poisoned this lane. Lanes never mix numerically, so
+    /// a NaN stays in its own lane and the siblings keep marching.
+    tripped: Option<HealthReport>,
+}
+
+/// Which of the two force phases of a step is running.
+#[derive(Clone, Copy)]
+enum Medium {
+    Fluid,
+    Solid,
 }
 
 /// One rank's solver state.
@@ -147,11 +190,15 @@ pub struct RankSolver {
     /// free-surface point when the ocean load is on.
     ocean: Vec<(u32, f32, [f32; 3])>,
     atten: Option<AttenuationState>,
-    /// Clustered local-time-stepping state (`None` runs the plain loop).
+    /// Clustered local-time-stepping state (`None` runs every element
+    /// every step).
     lts: Option<LtsState>,
-    source: SourceArrays,
-    apply_source: bool,
-    receivers: ReceiverSet,
+    /// Per-lane source, receivers and health monitor (one lane for a
+    /// plain run).
+    lanes: Vec<Lane>,
+    /// Heap scratch of the batched element kernels (`Some` iff `k > 1`;
+    /// the single-lane kernels work on stack arrays).
+    scratch: Option<BatchScratch>,
     owned: Vec<bool>,
     /// Time step (s).
     pub dt: f64,
@@ -161,15 +208,25 @@ pub struct RankSolver {
     /// First step the time loop executes (nonzero after a checkpoint
     /// restore).
     start_step: usize,
-    /// Numerical-health monitor (disabled when `config.health_every == 0`;
-    /// the disabled path never touches the fields).
-    health: specfem_obs::HealthMonitor,
 }
 
 /// Unwrap a setup-phase collective: failures before the first step are
 /// fatal (there is no earlier checkpoint to fall back to).
 fn setup<T>(r: Result<T, CommError>) -> T {
     r.unwrap_or_else(|e| panic!("collective failed during solver setup: {e}"))
+}
+
+/// Whether this rank wins a best-fit election: the lowest rank whose
+/// `cost` ties the global minimum (collective call).
+fn elected(comm: &mut dyn Communicator, cost: f64) -> bool {
+    let best = setup(comm.allreduce_min(cost));
+    let mine = if (cost - best).abs() <= 1e-9 * best.max(1.0) {
+        comm.rank() as f64
+    } else {
+        f64::INFINITY
+    };
+    let winner = setup(comm.allreduce_min(mine));
+    best.is_finite() && winner == comm.rank() as f64
 }
 
 /// Map a health trip's flat field index back to the local element holding
@@ -186,16 +243,67 @@ fn attribute_element(mesh: &LocalMesh, field: &str, point: usize) -> Option<usiz
     mesh.ibool.chunks(npe).position(|elem| elem.contains(&pid))
 }
 
+/// Can the step pipeline run `config` with `k` event lanes? One lane runs
+/// everything. More lanes share the mesh, the physics and the schedule;
+/// the only configurations refused are those that need per-lane *data*
+/// the lane-major fields do not carry yet — each refusal names it.
+pub fn lanes_supported(config: &SolverConfig, k: usize) -> Result<(), String> {
+    if !(1..=MAX_BATCH_LANES).contains(&k) {
+        return Err(format!("lane count {k} out of 1..={MAX_BATCH_LANES}"));
+    }
+    let missing = if k == 1 {
+        None
+    } else if config.attenuation {
+        Some("attenuation needs per-lane SLS memory variables")
+    } else if config.lts_max_rate > 1 || config.lts_all_rate_one {
+        Some("local time stepping needs per-lane frozen force contributions")
+    } else if config.checkpoint_every > 0 {
+        Some("mid-run checkpoints need a per-lane field container")
+    } else if config.energy_every > 0 {
+        Some("energy diagnostics need a per-lane energy series")
+    } else if config.snapshot_every > 0 {
+        Some("wavefield snapshots need a per-lane snapshot series")
+    } else {
+        None
+    };
+    match missing {
+        Some(what) => Err(format!("{k} fused lanes: {what}")),
+        None => Ok(()),
+    }
+}
+
 impl RankSolver {
-    /// Set up one rank: metric terms, assembled mass matrices, coupling
-    /// surface, source and receiver location (collective call).
+    /// Set up one rank for a plain single-event run: the lane is
+    /// `config.source` recorded at `stations` (collective call).
     pub fn new(
         mesh: LocalMesh,
         config: &SolverConfig,
         stations: &[Station],
         comm: &mut dyn Communicator,
     ) -> Self {
+        Self::with_lanes(mesh, config, &[single_lane(config, stations)], comm)
+    }
+
+    /// Set up one rank for `lanes.len()` event lanes sharing the mesh:
+    /// metric terms, assembled mass matrices, coupling surface once; source
+    /// and receiver location per lane, in lane order, with the same
+    /// ownership collectives for any lane count — so every rank agrees on
+    /// who applies which lane's source and records which lane's stations
+    /// (collective call). `config.source` is ignored in favour of the
+    /// lanes' own sources.
+    ///
+    /// Panics on a lane count or configuration [`lanes_supported`] refuses —
+    /// callers that fuse jobs screen with it first, so hitting one here is
+    /// a driver bug.
+    pub fn with_lanes(
+        mesh: LocalMesh,
+        config: &SolverConfig,
+        lanes: &[EventLane],
+        comm: &mut dyn Communicator,
+    ) -> Self {
         let _span = specfem_obs::span("solver.setup");
+        let k = lanes.len();
+        lanes_supported(config, k).unwrap_or_else(|e| panic!("unsupported lane setup: {e}"));
         let gravity_profile = if config.gravity {
             Some(specfem_model::GravityProfile::new(
                 &specfem_model::Prem::isotropic_no_ocean(),
@@ -297,32 +405,30 @@ impl RankSolver {
             None
         };
 
-        // Source: every rank locates; the best fit applies it.
-        let source = SourceArrays::build(&mesh, &config.source);
-        let best = setup(comm.allreduce_min(source.locate_cost()));
-        let mine = if (source.locate_cost() - best).abs() <= 1e-9 * best.max(1.0) {
-            comm.rank() as f64
-        } else {
-            f64::INFINITY
-        };
-        let winner = setup(comm.allreduce_min(mine));
-        let apply_source = best.is_finite() && winner == comm.rank() as f64;
-
-        // Receivers: per-station ownership by best location error.
-        let mut receivers = ReceiverSet::locate(&mesh, stations, config.exact_station_location);
-        let errors = receivers.errors();
-        let mut keep = vec![false; errors.len()];
-        for (s, &err) in errors.iter().enumerate() {
-            let best = setup(comm.allreduce_min(err));
-            let mine = if (err - best).abs() <= 1e-9 * best.max(1.0) {
-                comm.rank() as f64
-            } else {
-                f64::INFINITY
-            };
-            let winner = setup(comm.allreduce_min(mine));
-            keep[s] = winner == comm.rank() as f64;
-        }
-        receivers.retain(&keep);
+        let lanes = lanes
+            .iter()
+            .map(|lane| {
+                // Source: every rank locates; the best fit applies it.
+                let source = SourceArrays::build(&mesh, &lane.source);
+                let apply_source = elected(comm, source.locate_cost());
+                // Receivers: per-station ownership by best location error.
+                let mut receivers =
+                    ReceiverSet::locate(&mesh, &lane.stations, config.exact_station_location);
+                let keep: Vec<bool> = receivers
+                    .errors()
+                    .into_iter()
+                    .map(|err| elected(comm, err))
+                    .collect();
+                receivers.retain(&keep);
+                Lane {
+                    source,
+                    apply_source,
+                    receivers,
+                    health: HealthMonitor::new(config.health_every),
+                    tripped: None,
+                }
+            })
+            .collect();
 
         // Point ownership (lowest sharing rank) for global reductions.
         let mut owned = vec![true; mesh.nglob];
@@ -334,9 +440,8 @@ impl RankSolver {
             }
         }
 
-        let fields = WaveFields::zeros(mesh.nglob);
         Self {
-            fields,
+            fields: WaveFields::with_lanes(mesh.nglob, k),
             config: config.clone(),
             geom,
             ops,
@@ -346,16 +451,14 @@ impl RankSolver {
             ocean,
             atten,
             lts,
-            source,
-            apply_source,
-            receivers,
+            lanes,
+            scratch: (k > 1).then(|| BatchScratch::new(k)),
             owned,
             dt,
             flops: FlopCounter::new(),
             energy: Vec::new(),
             snapshots: Vec::new(),
             start_step: 0,
-            health: specfem_obs::HealthMonitor::new(config.health_every),
             mesh,
         }
     }
@@ -374,27 +477,38 @@ impl RankSolver {
         self.lts.as_mut()
     }
 
-    /// Impose an initial solid displacement field (for source-free
-    /// validation runs): `f(x, y, z) → [ux, uy, uz]`.
+    /// Impose an initial solid displacement field on every lane (for
+    /// source-free validation runs): `f(x, y, z) → [ux, uy, uz]`.
     pub fn set_initial_displacement(&mut self, f: impl Fn([f64; 3]) -> [f64; 3]) {
         let (solid_mask, _) = region_masks(&self.mesh);
+        let k = self.fields.k;
         for (p, coord) in self.mesh.coords.iter().enumerate() {
             if solid_mask[p] {
                 let u = f(*coord);
                 for c in 0..3 {
-                    self.fields.displ[p * 3 + c] = u[c] as f32;
+                    self.fields.displ[(p * 3 + c) * k..][..k].fill(u[c] as f32);
                 }
             }
         }
     }
 
-    /// Advance one time step. `istep` is 0-based; the source is evaluated
-    /// at `t = (istep + 1)·dt`.
+    /// Advance every lane one time step. `istep` is 0-based; the sources
+    /// are evaluated at `t = (istep + 1)·dt`.
+    ///
+    /// Per-point accumulation order is the contract that keeps every
+    /// schedule bit-identical: boundary terms (coupling, absorbing,
+    /// sources) first, then the elements in ascending local order, then
+    /// the received halo partials in ascending neighbour rank — float
+    /// addition is not associative, and this order does not depend on
+    /// where the halo post sits, whether LTS scatters stored contributions,
+    /// or how many lanes ride along (`tests/overlap_equivalence.rs`,
+    /// `tests/lts_equivalence.rs`, `crates/batch/tests/batch_oracle.rs`).
     pub fn step(&mut self, istep: usize, comm: &mut dyn Communicator) -> Result<(), SolverError> {
         comm.on_time_step(istep)?;
         let _span = specfem_obs::span("step");
         let dt = self.dt as f32;
         let t = (istep + 1) as f64 * self.dt;
+        let k = self.fields.k;
 
         // 1. Newmark predictor on both media.
         {
@@ -405,87 +519,19 @@ impl RankSolver {
         // 2. Fluid outer core: coupling from the *predicted solid
         //    displacement* (the displacement-based scheme of [4]), then
         //    stiffness, assemble, divide by mass.
-        //
-        //    The coupling term is applied *before* the element loop so the
-        //    per-point accumulation order — boundary terms, outer elements,
-        //    inner elements, received halo partials — is identical whether
-        //    the exchange is blocking or overlapped: float addition is not
-        //    associative, and this ordering is what keeps the two paths
-        //    bit-identical (enforced by `tests/overlap_equivalence.rs`).
         {
             let _s = specfem_obs::span("forces.fluid");
             self.coupling
                 .add_solid_displacement_to_fluid(&mut self.fields);
         }
-        if self.lts.is_some() {
-            // LTS: refresh the active clusters' frozen contributions, then
-            // scatter *all* elements in canonical ascending order.
-            self.lts_fluid_phase(istep, comm)?;
-        } else if self.config.overlap {
-            // Outer elements first, post the halo exchange, fill the
-            // in-flight window with the inner elements, then wait/combine.
-            {
-                let _s = specfem_obs::span("forces.fluid.outer");
-                compute_fluid_forces_range(
-                    &self.mesh,
-                    &self.geom,
-                    &self.ops,
-                    self.config.variant,
-                    &mut self.fields,
-                    &mut self.flops,
-                    self.mesh.outer_elements(),
-                );
-            }
-            let reqs = post_halo_exchange(
-                comm,
-                &self.mesh.halo,
-                &self.fields.chi_ddot,
-                1,
-                tags::HALO_FLUID,
-            )?;
-            {
-                let _s = specfem_obs::span("forces.fluid.inner");
-                compute_fluid_forces_range(
-                    &self.mesh,
-                    &self.geom,
-                    &self.ops,
-                    self.config.variant,
-                    &mut self.fields,
-                    &mut self.flops,
-                    self.mesh.inner_elements(),
-                );
-            }
-            finish_halo_assembly(comm, &self.mesh.halo, &mut self.fields.chi_ddot, 1, reqs)?;
-        } else {
-            {
-                let _s = specfem_obs::span("forces.fluid");
-                compute_fluid_forces_range(
-                    &self.mesh,
-                    &self.geom,
-                    &self.ops,
-                    self.config.variant,
-                    &mut self.fields,
-                    &mut self.flops,
-                    0..self.mesh.nspec,
-                );
-            }
-            let _s = specfem_obs::span("assemble.fluid");
-            assemble_halo(
-                comm,
-                &self.mesh.halo,
-                &mut self.fields.chi_ddot,
-                1,
-                tags::HALO_FLUID,
-            )?;
-        }
+        self.force_phase(Medium::Fluid, istep, comm)?;
         self.fields.corrector_fluid(&self.mass.fluid, dt);
 
         // 3. Solid regions: coupling from the fresh fluid acceleration,
-        //    absorbing boundaries and the source — all *before* the
-        //    stiffness loop (same bit-identity rationale as the fluid
-        //    phase; every one of these terms only adds into `accel` from
-        //    fields the stiffness loop does not write) — then stiffness
-        //    (+ attenuation, gravity) and assembly.
+        //    absorbing boundaries and the per-lane sources (every one of
+        //    these only adds into `accel` from fields the stiffness loop
+        //    does not write), then stiffness (+ attenuation, gravity) and
+        //    assembly.
         {
             let _s = specfem_obs::span("forces.solid");
             self.coupling.add_fluid_pressure_to_solid(&mut self.fields);
@@ -494,85 +540,30 @@ impl RankSolver {
                 // runs), driven by the predicted velocity.
                 self.absorbing.apply(&mut self.fields);
             }
-            if self.apply_source {
-                self.source.apply(t, &mut self.fields);
+            for (lane, ls) in self.lanes.iter().enumerate() {
+                if ls.apply_source {
+                    ls.source.apply(t, &mut self.fields, lane);
+                }
             }
         }
-        if self.lts.is_some() {
-            self.lts_solid_phase(istep, comm)?;
-        } else if self.config.overlap {
-            {
-                let _s = specfem_obs::span("forces.solid.outer");
-                compute_solid_forces_range(
-                    &self.mesh,
-                    &self.geom,
-                    &self.ops,
-                    self.config.variant,
-                    &mut self.fields,
-                    self.atten.as_mut(),
-                    self.config.gravity,
-                    &mut self.flops,
-                    self.mesh.outer_elements(),
-                );
-            }
-            let reqs = post_halo_exchange(
-                comm,
-                &self.mesh.halo,
-                &self.fields.accel,
-                3,
-                tags::HALO_SOLID,
-            )?;
-            {
-                let _s = specfem_obs::span("forces.solid.inner");
-                compute_solid_forces_range(
-                    &self.mesh,
-                    &self.geom,
-                    &self.ops,
-                    self.config.variant,
-                    &mut self.fields,
-                    self.atten.as_mut(),
-                    self.config.gravity,
-                    &mut self.flops,
-                    self.mesh.inner_elements(),
-                );
-            }
-            finish_halo_assembly(comm, &self.mesh.halo, &mut self.fields.accel, 3, reqs)?;
-        } else {
-            {
-                let _s = specfem_obs::span("forces.solid");
-                compute_solid_forces_range(
-                    &self.mesh,
-                    &self.geom,
-                    &self.ops,
-                    self.config.variant,
-                    &mut self.fields,
-                    self.atten.as_mut(),
-                    self.config.gravity,
-                    &mut self.flops,
-                    0..self.mesh.nspec,
-                );
-            }
-            let _s = specfem_obs::span("assemble.solid");
-            assemble_halo(
-                comm,
-                &self.mesh.halo,
-                &mut self.fields.accel,
-                3,
-                tags::HALO_SOLID,
-            )?;
+        self.force_phase(Medium::Solid, istep, comm)?;
+        if let Some(lts) = self.lts.as_mut() {
+            lts.end_step(&self.mesh, istep, &mut self.flops);
         }
 
         // Ocean load: scale the normal RHS component by M/(M+M_o) so the
         // upcoming division by M yields F_n/(M+M_o) on the free surface.
-        for &(p, k, n) in &self.ocean {
-            let p = p as usize;
-            let fn_dot = self.fields.accel[p * 3] * n[0]
-                + self.fields.accel[p * 3 + 1] * n[1]
-                + self.fields.accel[p * 3 + 2] * n[2];
-            let delta = fn_dot * (k - 1.0);
-            self.fields.accel[p * 3] += delta * n[0];
-            self.fields.accel[p * 3 + 1] += delta * n[1];
-            self.fields.accel[p * 3 + 2] += delta * n[2];
+        for &(p, ratio, n) in &self.ocean {
+            let o = p as usize * 3 * k;
+            let accel = &mut self.fields.accel;
+            for x in o..o + k {
+                let (y, z) = (x + k, x + 2 * k);
+                let fn_dot = accel[x] * n[0] + accel[y] * n[1] + accel[z] * n[2];
+                let delta = fn_dot * (ratio - 1.0);
+                accel[x] += delta * n[0];
+                accel[y] += delta * n[1];
+                accel[z] += delta * n[2];
+            }
         }
 
         // Energy diagnostic uses the assembled right-hand side (before the
@@ -589,34 +580,39 @@ impl RankSolver {
         if self.config.rotation {
             let half_dt = 0.5 * dt;
             let om = EARTH_OMEGA_RAD_S as f32;
+            let WaveFields { veloc, accel, .. } = &mut self.fields;
             for (p, &m) in self.mass.solid.iter().enumerate() {
                 if m > 0.0 {
                     let inv = 1.0 / m;
-                    let vx = self.fields.veloc[p * 3];
-                    let vy = self.fields.veloc[p * 3 + 1];
-                    // Ω = Ω ẑ ⇒ −2Ω×v = (2Ω v_y, −2Ω v_x, 0).
-                    let ax = self.fields.accel[p * 3] * inv + 2.0 * om * vy;
-                    let ay = self.fields.accel[p * 3 + 1] * inv - 2.0 * om * vx;
-                    let az = self.fields.accel[p * 3 + 2] * inv;
-                    self.fields.accel[p * 3] = ax;
-                    self.fields.accel[p * 3 + 1] = ay;
-                    self.fields.accel[p * 3 + 2] = az;
-                    self.fields.veloc[p * 3] += half_dt * ax;
-                    self.fields.veloc[p * 3 + 1] += half_dt * ay;
-                    self.fields.veloc[p * 3 + 2] += half_dt * az;
+                    for x in p * 3 * k..p * 3 * k + k {
+                        let (y, z) = (x + k, x + 2 * k);
+                        let (vx, vy) = (veloc[x], veloc[y]);
+                        // Ω = Ω ẑ ⇒ −2Ω×v = (2Ω v_y, −2Ω v_x, 0).
+                        let ax = accel[x] * inv + 2.0 * om * vy;
+                        let ay = accel[y] * inv - 2.0 * om * vx;
+                        let az = accel[z] * inv;
+                        accel[x] = ax;
+                        accel[y] = ay;
+                        accel[z] = az;
+                        veloc[x] += half_dt * ax;
+                        veloc[y] += half_dt * ay;
+                        veloc[z] += half_dt * az;
+                    }
                 }
             }
         } else {
             self.fields.corrector_solid(&self.mass.solid, dt);
         }
 
-        // Bookkeeping flops for the update loops (≈ 50/point/step).
-        self.flops.add_raw(self.mesh.nglob as u64 * 50);
+        // Bookkeeping flops for the update loops (≈ 50/point/step/lane).
+        self.flops.add_raw((self.mesh.nglob * 50 * k) as u64);
         drop(span_corrector);
 
         if istep.is_multiple_of(self.config.record_every) {
             let _s = specfem_obs::span("step.record");
-            self.receivers.record(&self.mesh, &self.fields);
+            for (lane, ls) in self.lanes.iter_mut().enumerate() {
+                ls.receivers.record(&self.mesh, &self.fields, lane);
+            }
         }
         if self.config.snapshot_every > 0 && istep.is_multiple_of(self.config.snapshot_every) {
             self.snapshots.push(self.fields.displ.clone());
@@ -624,118 +620,73 @@ impl RankSolver {
         Ok(())
     }
 
-    /// The LTS fluid force phase: recompute the contributions of clusters
-    /// active on `istep`, then add *every* element's (fresh or frozen)
-    /// contribution into `chi_ddot` in ascending element order — the same
-    /// per-point accumulation sequence as the plain loop, which is what
-    /// keeps the rate-1 path bit-identical (`tests/lts_equivalence.rs`).
-    fn lts_fluid_phase(
+    /// One force phase, written once for both media and every schedule:
+    /// stiffness forces of the elements before `split`, post the halo
+    /// exchange of the right-hand side, the remaining elements while the
+    /// messages are in flight, then wait and add the neighbours' partials.
+    /// Overlapping puts `split` at the outer/inner boundary; the blocking
+    /// exchange is the same schedule with an empty in-flight window. All K
+    /// lanes of a shared point travel in one message (`ncomp = K` fluid,
+    /// `3K` solid), so the posted message count does not depend on K.
+    fn force_phase(
         &mut self,
+        medium: Medium,
         istep: usize,
         comm: &mut dyn Communicator,
     ) -> Result<(), SolverError> {
-        let Self {
-            mesh,
-            geom,
-            ops,
-            config,
-            fields,
-            flops,
-            lts,
-            ..
-        } = self;
-        let lts = lts.as_mut().expect("LTS phase without LTS state");
-        let WaveFields { chi, chi_ddot, .. } = fields;
-        let LtsState {
-            levels,
-            fluid_contrib,
-            ..
-        } = lts;
-        let split = mesh.nspec_outer;
-        if config.overlap {
-            {
-                let _s = specfem_obs::span("forces.fluid.outer");
-                for lv in levels.iter() {
-                    if lv.active(istep) {
-                        compute_fluid_contribs(
-                            mesh,
-                            geom,
-                            ops,
-                            config.variant,
-                            chi,
-                            flops,
-                            &lv.outer,
-                            fluid_contrib,
-                        );
-                    }
-                }
-                scatter_fluid(mesh, fluid_contrib, chi_ddot, 0..split);
-            }
-            let reqs = post_halo_exchange(comm, &mesh.halo, chi_ddot, 1, tags::HALO_FLUID)?;
-            {
-                let _s = specfem_obs::span("forces.fluid.inner");
-                for lv in levels.iter() {
-                    if lv.active(istep) {
-                        compute_fluid_contribs(
-                            mesh,
-                            geom,
-                            ops,
-                            config.variant,
-                            chi,
-                            flops,
-                            &lv.inner,
-                            fluid_contrib,
-                        );
-                    }
-                }
-                scatter_fluid(mesh, fluid_contrib, chi_ddot, split..mesh.nspec);
-            }
-            finish_halo_assembly(comm, &mesh.halo, chi_ddot, 1, reqs)?;
+        let nspec = self.mesh.nspec;
+        let split = if self.config.overlap {
+            self.mesh.nspec_outer
         } else {
-            {
-                let _s = specfem_obs::span("forces.fluid");
-                for lv in levels.iter() {
-                    if lv.active(istep) {
-                        compute_fluid_contribs(
-                            mesh,
-                            geom,
-                            ops,
-                            config.variant,
-                            chi,
-                            flops,
-                            &lv.outer,
-                            fluid_contrib,
-                        );
-                        compute_fluid_contribs(
-                            mesh,
-                            geom,
-                            ops,
-                            config.variant,
-                            chi,
-                            flops,
-                            &lv.inner,
-                            fluid_contrib,
-                        );
-                    }
-                }
-                scatter_fluid(mesh, fluid_contrib, chi_ddot, 0..mesh.nspec);
-            }
-            let _s = specfem_obs::span("assemble.fluid");
-            assemble_halo(comm, &mesh.halo, chi_ddot, 1, tags::HALO_FLUID)?;
+            nspec
+        };
+        let k = self.fields.k;
+        let ([outer, inner], width, tags) = match medium {
+            Medium::Fluid => (
+                ["forces.fluid.outer", "forces.fluid.inner"],
+                1,
+                [tags::HALO_FLUID, tags::HALO_BATCHED_FLUID],
+            ),
+            Medium::Solid => (
+                ["forces.solid.outer", "forces.solid.inner"],
+                3,
+                [tags::HALO_SOLID, tags::HALO_BATCHED_SOLID],
+            ),
+        };
+        // Fused runs use their own tags so per-tag accounting does not
+        // misread K× larger messages as a single-lane size regression.
+        let (ncomp, tag) = (width * k, tags[(k > 1) as usize]);
+        {
+            let _s = specfem_obs::span(outer);
+            self.compute_forces(medium, istep, 0..split);
         }
+        let rhs = match medium {
+            Medium::Fluid => &self.fields.chi_ddot,
+            Medium::Solid => &self.fields.accel,
+        };
+        let reqs = post_halo_exchange(comm, &self.mesh.halo, rhs, ncomp, tag)?;
+        {
+            let _s = specfem_obs::span(inner);
+            self.compute_forces(medium, istep, split..nspec);
+        }
+        let rhs = match medium {
+            Medium::Fluid => &mut self.fields.chi_ddot,
+            Medium::Solid => &mut self.fields.accel,
+        };
+        finish_halo_assembly(comm, &self.mesh.halo, rhs, ncomp, reqs)?;
         Ok(())
     }
 
-    /// The LTS solid force phase — see [`Self::lts_fluid_phase`]. Each
-    /// active cluster computes with attenuation recursion constants fitted
-    /// at its own `rate·dt` (memory variables refresh on the cluster's
-    /// schedule); skipped element-steps are tallied here, once per element
-    /// per fine step.
-    fn lts_solid_phase(
-        &mut self,
-        istep: usize,
-        comm: &mut dyn Communicator,
-    ) -> Result<(), SolverError> {
+    /// Add the stiffness forces of the local elements in `range` into the
+    /// right-hand side of `medium`. The element kernel follows the lane
+    /// count: the stack-array single-lane kernel at `k = 1`, the batched
+    /// lane-major kernel otherwise. Under LTS the clusters active on
+    /// `istep` recompute their elements' contributions inside `range`
+    /// (each with attenuation recursion constants fitted at its own
+    /// `rate·dt`), then *every* element's fresh or frozen contribution in
+    /// `range` is scattered in ascending order — the same per-point
+    /// accumulation sequence as the direct kernels.
+    fn compute_forces(&mut self, medium: Medium, istep: usize, range: Range<usize>) {
         let Self {
             mesh,
             geom,
@@ -745,120 +696,91 @@ impl RankSolver {
             flops,
             atten,
             lts,
+            scratch,
             ..
         } = self;
-        let lts = lts.as_mut().expect("LTS phase without LTS state");
-        let WaveFields { displ, accel, .. } = fields;
-        let LtsState {
-            levels,
-            solid_contrib,
-            element_steps_saved,
-            ..
-        } = lts;
-        let split = mesh.nspec_outer;
-        if config.overlap {
-            {
-                let _s = specfem_obs::span("forces.solid.outer");
-                for lv in levels.iter() {
-                    if lv.active(istep) {
-                        if let (Some(att), Some((a, b))) = (atten.as_mut(), lv.atten) {
-                            att.alpha = a;
-                            att.beta_unit = b;
-                        }
-                        compute_solid_contribs(
+        let variant = config.variant;
+        let scratch = scratch.as_mut();
+        match (medium, lts.as_mut(), fields.k) {
+            (Medium::Fluid, Some(lts), _) => {
+                for lv in lts.levels.iter().filter(|lv| lv.active(istep)) {
+                    for elems in lv.elements_in(&range) {
+                        compute_fluid_contribs(
                             mesh,
                             geom,
                             ops,
-                            config.variant,
-                            displ,
-                            atten.as_mut(),
-                            config.gravity,
+                            variant,
+                            &fields.chi,
                             flops,
-                            &lv.outer,
-                            solid_contrib,
+                            elems,
+                            &mut lts.fluid_contrib,
                         );
                     }
                 }
-                scatter_solid(mesh, solid_contrib, accel, 0..split);
+                scatter(mesh, &lts.fluid_contrib, &mut fields.chi_ddot, 1, range);
             }
-            let reqs = post_halo_exchange(comm, &mesh.halo, accel, 3, tags::HALO_SOLID)?;
-            {
-                let _s = specfem_obs::span("forces.solid.inner");
-                for lv in levels.iter() {
-                    if lv.active(istep) {
-                        if let (Some(att), Some((a, b))) = (atten.as_mut(), lv.atten) {
-                            att.alpha = a;
-                            att.beta_unit = b;
-                        }
+            (Medium::Solid, Some(lts), _) => {
+                for lv in lts.levels.iter().filter(|lv| lv.active(istep)) {
+                    if let (Some(att), Some((a, b))) = (atten.as_mut(), lv.atten) {
+                        att.alpha = a;
+                        att.beta_unit = b;
+                    }
+                    for elems in lv.elements_in(&range) {
                         compute_solid_contribs(
                             mesh,
                             geom,
                             ops,
-                            config.variant,
-                            displ,
+                            variant,
+                            &fields.displ,
                             atten.as_mut(),
                             config.gravity,
                             flops,
-                            &lv.inner,
-                            solid_contrib,
+                            elems,
+                            &mut lts.solid_contrib,
                         );
                     }
                 }
-                scatter_solid(mesh, solid_contrib, accel, split..mesh.nspec);
+                scatter(mesh, &lts.solid_contrib, &mut fields.accel, 3, range);
             }
-            finish_halo_assembly(comm, &mesh.halo, accel, 3, reqs)?;
-        } else {
-            {
-                let _s = specfem_obs::span("forces.solid");
-                for lv in levels.iter() {
-                    if lv.active(istep) {
-                        if let (Some(att), Some((a, b))) = (atten.as_mut(), lv.atten) {
-                            att.alpha = a;
-                            att.beta_unit = b;
-                        }
-                        compute_solid_contribs(
-                            mesh,
-                            geom,
-                            ops,
-                            config.variant,
-                            displ,
-                            atten.as_mut(),
-                            config.gravity,
-                            flops,
-                            &lv.outer,
-                            solid_contrib,
-                        );
-                        compute_solid_contribs(
-                            mesh,
-                            geom,
-                            ops,
-                            config.variant,
-                            displ,
-                            atten.as_mut(),
-                            config.gravity,
-                            flops,
-                            &lv.inner,
-                            solid_contrib,
-                        );
-                    }
-                }
-                scatter_solid(mesh, solid_contrib, accel, 0..mesh.nspec);
+            (Medium::Fluid, None, 1) => {
+                compute_fluid_forces_range(mesh, geom, ops, variant, fields, flops, range)
             }
-            let _s = specfem_obs::span("assemble.solid");
-            assemble_halo(comm, &mesh.halo, accel, 3, tags::HALO_SOLID)?;
+            (Medium::Solid, None, 1) => compute_solid_forces_range(
+                mesh,
+                geom,
+                ops,
+                variant,
+                fields,
+                atten.as_mut(),
+                config.gravity,
+                flops,
+                range,
+            ),
+            (Medium::Fluid, None, _) => compute_fluid_forces_batched(
+                mesh,
+                geom,
+                ops,
+                variant,
+                fields,
+                flops,
+                scratch.expect("lane scratch exists whenever k > 1"),
+                range,
+            ),
+            (Medium::Solid, None, _) => compute_solid_forces_batched(
+                mesh,
+                geom,
+                ops,
+                variant,
+                fields,
+                config.gravity,
+                flops,
+                scratch.expect("lane scratch exists whenever k > 1"),
+                range,
+            ),
         }
-        // Bookkeeping: the scatter's per-point adds (covers this step's
-        // fluid scatter too), and the element-steps LTS skipped.
-        scatter_flops(mesh, flops);
-        for lv in levels.iter() {
-            if !lv.active(istep) {
-                *element_steps_saved += lv.len() as u64;
-            }
-        }
-        Ok(())
     }
 
-    /// Global kinetic and potential energy (collective).
+    /// Global kinetic and potential energy (collective; single-lane runs).
     fn energy_sample(&mut self, comm: &mut dyn Communicator) -> Result<(f64, f64), CommError> {
         let mut ke = 0.0f64;
         let mut pe = 0.0f64;
@@ -887,14 +809,74 @@ impl RankSolver {
         Ok((comm.allreduce_sum(ke)?, comm.allreduce_sum(pe)?))
     }
 
-    /// Capture the complete time-loop state at a step boundary:
-    /// `next_step` is the first step the resumed loop will execute.
+    /// Scan every healthy lane's fields with its own monitor. One rule for
+    /// any lane count: a trip poisons its lane (the report is kept as that
+    /// lane's outcome while its siblings keep marching), and the run fails
+    /// once no healthy lane is left — immediately, for a single-lane run.
+    fn check_health(&mut self, rank: usize, istep: usize) -> Result<(), SolverError> {
+        let f = &self.fields;
+        for (lane, ls) in self.lanes.iter_mut().enumerate() {
+            if ls.tripped.is_some() || !ls.health.should_check(istep) {
+                continue;
+            }
+            let _s = specfem_obs::span("health.check");
+            let (displ, veloc, chi_dot) = (
+                f.lane(&f.displ, lane),
+                f.lane(&f.veloc, lane),
+                f.lane(&f.chi_dot, lane),
+            );
+            let fields: [(&'static str, &[f32]); 3] =
+                [("displ", &displ), ("veloc", &veloc), ("chi_dot", &chi_dot)];
+            match ls.health.check(rank, istep, &fields) {
+                Some(mut report) => {
+                    report.element = attribute_element(&self.mesh, report.field, report.point);
+                    specfem_obs::counter_add("health.trips", 1);
+                    specfem_obs::flight_event(
+                        specfem_obs::FlightEventKind::HealthTrip,
+                        report.field,
+                        report.point as u64,
+                        0,
+                    );
+                    ls.tripped = Some(report);
+                }
+                None => {
+                    specfem_obs::counter_add("health.samples", 1);
+                    specfem_obs::flight_event(specfem_obs::FlightEventKind::HealthSample, "", 0, 0);
+                }
+            }
+        }
+        match &self.lanes[0].tripped {
+            Some(first) if self.lanes.iter().all(|ls| ls.tripped.is_some()) => {
+                Err(SolverError::Health(first.clone()))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Capture the complete time-loop state of a single-lane run at a step
+    /// boundary: `next_step` is the first step the resumed loop will
+    /// execute.
     pub fn capture_checkpoint(
         &self,
         rank: usize,
         nranks: usize,
         next_step: usize,
     ) -> CheckpointState {
+        self.capture_lane(0, rank, nranks, next_step)
+    }
+
+    /// [`Self::capture_checkpoint`] for one lane, in the single-lane
+    /// container (whatever a fused run cannot carry — attenuation memory,
+    /// energy and snapshot series — is empty there by construction).
+    fn capture_lane(
+        &self,
+        lane: usize,
+        rank: usize,
+        nranks: usize,
+        next_step: usize,
+    ) -> CheckpointState {
+        let f = &self.fields;
+        let receivers = &self.lanes[lane].receivers;
         CheckpointState {
             rank,
             nranks,
@@ -903,18 +885,17 @@ impl RankSolver {
             nglob: self.mesh.nglob,
             global_ids: self.mesh.global_ids.clone(),
             element_global: self.mesh.element_global.clone(),
-            displ: self.fields.displ.clone(),
-            veloc: self.fields.veloc.clone(),
-            accel: self.fields.accel.clone(),
-            chi: self.fields.chi.clone(),
-            chi_dot: self.fields.chi_dot.clone(),
-            chi_ddot: self.fields.chi_ddot.clone(),
+            displ: f.lane(&f.displ, lane).into_owned(),
+            veloc: f.lane(&f.veloc, lane).into_owned(),
+            accel: f.lane(&f.accel, lane).into_owned(),
+            chi: f.lane(&f.chi, lane).into_owned(),
+            chi_dot: f.lane(&f.chi_dot, lane).into_owned(),
+            chi_ddot: f.lane(&f.chi_ddot, lane).into_owned(),
             atten_memory: self.atten.as_ref().map(|a| a.memory.clone()),
-            records: self
-                .receivers
+            records: receivers
                 .station_names()
                 .into_iter()
-                .zip(self.receivers.records().iter().cloned())
+                .zip(receivers.records().iter().cloned())
                 .collect(),
             energy: self.energy.clone(),
             snapshots: self.snapshots.clone(),
@@ -930,6 +911,12 @@ impl RankSolver {
     /// mis-restore.
     pub fn restore_from(&mut self, state: CheckpointState) -> Result<(), SolverError> {
         let fail = |msg: String| Err(SolverError::Checkpoint(CheckpointError(msg)));
+        if self.fields.k != 1 {
+            return fail(format!(
+                "a checkpoint holds one lane; this solver runs {}",
+                self.fields.k
+            ));
+        }
         if state.nglob != self.mesh.nglob {
             return fail(format!(
                 "nglob mismatch: checkpoint {} vs mesh {}",
@@ -994,7 +981,8 @@ impl RankSolver {
                 ))
             }
         }
-        self.receivers
+        let lane = &mut self.lanes[0];
+        lane.receivers
             .restore_records(state.records)
             .map_err(|e| SolverError::Checkpoint(CheckpointError(e)))?;
         self.fields.displ = state.displ;
@@ -1009,7 +997,7 @@ impl RankSolver {
         self.start_step = state.next_step;
         // Restored fields have a fresh (possibly large) baseline norm; the
         // growth tracker must not read the jump from zero as a blow-up.
-        self.health.re_arm();
+        lane.health.re_arm();
         specfem_obs::flight_event(
             specfem_obs::FlightEventKind::Restore,
             "",
@@ -1028,12 +1016,25 @@ impl RankSolver {
     }
 
     /// Run the time loop (from `start_step` after a restore), writing a
-    /// checkpoint to `sink` every `config.checkpoint_every` steps.
+    /// checkpoint to `sink` every `config.checkpoint_every` steps, and
+    /// return the first lane's result — *the* result of a single-lane run.
     pub fn try_run(
+        self,
+        comm: &mut dyn Communicator,
+        sink: Option<&mut dyn CheckpointSink>,
+    ) -> Result<RankResult, SolverError> {
+        first_lane(self.try_run_lanes(comm, sink, false))
+    }
+
+    /// [`Self::try_run`] returning every lane's outcome, in lane order.
+    /// `capture_final_state` attaches each healthy lane's final wavefield
+    /// to its result.
+    pub fn try_run_lanes(
         mut self,
         comm: &mut dyn Communicator,
         mut sink: Option<&mut dyn CheckpointSink>,
-    ) -> Result<RankResult, SolverError> {
+        capture_final_state: bool,
+    ) -> Result<Vec<LaneResult>, SolverError> {
         comm.barrier()?;
         comm.reset_stats(); // main-loop statistics only, like IPM (§5)
         let span_timeloop = specfem_obs::span("timeloop");
@@ -1053,27 +1054,7 @@ impl RankSolver {
             if let Some(t) = t_step {
                 specfem_obs::hist_record("solver.step_ns", t.elapsed().as_nanos() as u64);
             }
-            if self.health.should_check(istep) {
-                let _s = specfem_obs::span("health.check");
-                let fields: [(&'static str, &[f32]); 3] = [
-                    ("displ", &self.fields.displ),
-                    ("veloc", &self.fields.veloc),
-                    ("chi_dot", &self.fields.chi_dot),
-                ];
-                if let Some(mut report) = self.health.check(comm.rank(), istep, &fields) {
-                    report.element = attribute_element(&self.mesh, report.field, report.point);
-                    specfem_obs::counter_add("health.trips", 1);
-                    specfem_obs::flight_event(
-                        specfem_obs::FlightEventKind::HealthTrip,
-                        report.field,
-                        report.point as u64,
-                        0,
-                    );
-                    return Err(SolverError::Health(report));
-                }
-                specfem_obs::counter_add("health.samples", 1);
-                specfem_obs::flight_event(specfem_obs::FlightEventKind::HealthSample, "", 0, 0);
-            }
+            self.check_health(comm.rank(), istep)?;
             if self.config.checkpoint_every > 0 && (istep + 1) % self.config.checkpoint_every == 0 {
                 if let Some(sink) = sink.as_mut() {
                     let state = self.capture_checkpoint(comm.rank(), comm.size(), istep + 1);
@@ -1089,50 +1070,90 @@ impl RankSolver {
         }
         comm.barrier()?;
         drop(span_timeloop);
-        let elapsed = t0.elapsed().as_secs_f64();
-        specfem_obs::counter_add(
-            "solver.steps",
-            (self.config.nsteps - self.start_step) as u64,
-        );
+        let elapsed_s = t0.elapsed().as_secs_f64();
+        let steps_run = self.config.nsteps - self.start_step;
+        specfem_obs::counter_add("solver.steps", steps_run as u64);
         specfem_obs::gauge_set("solver.nspec", self.mesh.nspec as f64);
         specfem_obs::gauge_set("solver.nglob", self.mesh.nglob as f64);
         let lts = self.lts.as_ref().map(|l| {
-            let s = l.summary(self.mesh.nspec, self.config.nsteps - self.start_step);
+            let s = l.summary(self.mesh.nspec, steps_run);
             specfem_obs::gauge_set("lts.max_rate", s.max_rate as f64);
             specfem_obs::gauge_set("lts.levels", s.levels.len() as f64);
             specfem_obs::counter_add("lts.element_steps_saved", s.element_steps_saved);
             s
         });
-        let station_error_m = self.receivers.worst_error_m();
-        let snapshots = if self.config.snapshot_every > 0 {
-            Some(crate::adjoint::WavefieldSnapshots {
+        let (rank, nranks) = (comm.rank(), comm.size());
+        let final_states: Vec<Option<CheckpointState>> = (0..self.lanes.len())
+            .map(|lane| {
+                (capture_final_state && self.lanes[lane].tripped.is_none())
+                    .then(|| self.capture_lane(lane, rank, nranks, self.config.nsteps))
+            })
+            .collect();
+        let snapshots =
+            (self.config.snapshot_every > 0).then(|| crate::adjoint::WavefieldSnapshots {
                 every: self.config.snapshot_every,
                 dt: self.dt,
                 frames: std::mem::take(&mut self.snapshots),
-            })
-        } else {
-            None
-        };
-        Ok(RankResult {
-            rank: comm.rank(),
-            seismograms: self
-                .receivers
-                .into_seismograms(self.dt * self.config.record_every as f64),
-            energy: self.energy,
-            elapsed_s: elapsed,
-            comm: comm.stats(),
-            flops: self.flops.total(),
-            dt: self.dt,
-            nsteps: self.config.nsteps,
-            nspec: self.mesh.nspec,
-            nglob: self.mesh.nglob,
-            station_error_m,
+            });
+        // What the lanes physically share goes to the first healthy one.
+        let mut shared = Some((
+            comm.stats(),
+            self.flops.total(),
+            self.energy,
             snapshots,
-            profile: specfem_obs::finish_rank(),
             lts,
-            trace_id: self.config.trace_id,
-        })
+        ));
+        let profile = specfem_obs::finish_rank();
+        let dt_samples = self.dt * self.config.record_every as f64;
+        Ok(self
+            .lanes
+            .into_iter()
+            .zip(final_states)
+            .map(|(ls, final_state)| match ls.tripped {
+                Some(report) => Err(report),
+                None => {
+                    let (comm, flops, energy, snapshots, lts) = shared.take().unwrap_or_default();
+                    Ok(RankResult {
+                        rank,
+                        station_error_m: ls.receivers.worst_error_m(),
+                        seismograms: ls.receivers.into_seismograms(dt_samples),
+                        energy,
+                        elapsed_s,
+                        comm,
+                        flops,
+                        dt: self.dt,
+                        nsteps: self.config.nsteps,
+                        nspec: self.mesh.nspec,
+                        nglob: self.mesh.nglob,
+                        snapshots,
+                        profile: profile.clone(),
+                        lts,
+                        trace_id: self.config.trace_id,
+                        final_state,
+                    })
+                }
+            })
+            .collect())
     }
+}
+
+/// The lane of a plain single-event run.
+fn single_lane(config: &SolverConfig, stations: &[Station]) -> EventLane {
+    EventLane {
+        name: String::new(),
+        source: config.source.clone(),
+        stations: stations.to_vec(),
+    }
+}
+
+/// The single-lane view of a run's outcome: its first lane, a poisoned
+/// lane surfacing as [`SolverError::Health`].
+fn first_lane(run: Result<Vec<LaneResult>, SolverError>) -> Result<RankResult, SolverError> {
+    let lane = run?
+        .into_iter()
+        .next()
+        .expect("a run has at least one lane");
+    lane.map_err(SolverError::Health)
 }
 
 /// Run serially (one rank, whole mesh) — the merged mesher+solver path.
@@ -1154,45 +1175,30 @@ pub fn try_run_serial(
     stations: &[Station],
     opts: FtOptions<'_>,
 ) -> Result<RankResult, SolverError> {
-    if config.trace {
-        specfem_obs::init_rank(0, &specfem_obs::TraceConfig::default());
-    }
-    if config.flight_recorder {
-        specfem_obs::flight_arm(0, config.flight_buffer_events);
-    }
-    let local = Partition::serial(mesh).extract(mesh, 0);
+    let lanes = [single_lane(config, stations)];
+    first_lane(try_run_serial_lanes(mesh, config, &lanes, opts, false))
+}
+
+/// [`try_run_serial`] for K event lanes fused into one solve: every
+/// lane's outcome, in lane order.
+pub fn try_run_serial_lanes(
+    mesh: &GlobalMesh,
+    config: &SolverConfig,
+    lanes: &[EventLane],
+    opts: FtOptions<'_>,
+    capture_final_state: bool,
+) -> Result<Vec<LaneResult>, SolverError> {
+    let partition = Partition::serial(mesh);
     let base = SerialComm::new();
-    let mut comm: Box<dyn Communicator> = match &config.fault_plan {
-        Some(plan) => Box::new(FaultyComm::new(base, plan)),
-        None => Box::new(base),
-    };
-    let mut solver = RankSolver::new(local, config, stations, comm.as_mut());
-    let out = (move || {
-        if let Some(restore) = opts.restore {
-            match restore(0, &solver.mesh) {
-                Ok(Some(state)) => solver.restore_from(state)?,
-                Ok(None) => {}
-                Err(e) => return Err(SolverError::Checkpoint(e)),
-            }
-        }
-        let mut sink = opts.sink_factory.map(|f| f(0));
-        let sink_ref: Option<&mut dyn CheckpointSink> = match sink.as_mut() {
-            Some(b) => Some(&mut **b),
-            None => None,
-        };
-        solver.try_run(comm.as_mut(), sink_ref)
-    })();
-    if out.is_err() {
-        // A failed run never reached the harvest in `try_run`; drop the
-        // recorder so the global tracer gate is released.
-        let _ = specfem_obs::finish_rank();
-    }
-    if let Some(journal) = specfem_obs::flight_harvest() {
-        if let Some(deposit) = opts.flight {
-            deposit(journal);
-        }
-    }
-    out
+    rank_main(
+        base,
+        mesh,
+        &partition,
+        config,
+        lanes,
+        &opts,
+        capture_final_state,
+    )
 }
 
 /// Run distributed over `6 × NPROC_XI²` thread-ranks (the `mpirun` analog).
@@ -1229,6 +1235,62 @@ pub struct FtOptions<'a> {
     /// writer sees every surviving rank's journal. `None` discards
     /// harvested journals.
     pub flight: Option<&'a (dyn Fn(specfem_obs::FlightJournal) + Sync)>,
+}
+
+/// The per-rank driver, written once for every world size and lane count:
+/// arm the tracer and flight recorder, wrap the communicator for fault
+/// injection, extract and set up, restore, run, and hand the flight
+/// journal over on success and failure exits alike.
+fn rank_main(
+    base: impl Communicator + 'static,
+    mesh: &GlobalMesh,
+    partition: &Partition,
+    config: &SolverConfig,
+    lanes: &[EventLane],
+    opts: &FtOptions<'_>,
+    capture_final_state: bool,
+) -> Result<Vec<LaneResult>, SolverError> {
+    let rank = base.rank();
+    if config.trace {
+        // Before extraction so mesh-extract and setup spans land in
+        // the trace too.
+        specfem_obs::init_rank(rank, &specfem_obs::TraceConfig::default());
+    }
+    if config.flight_recorder {
+        specfem_obs::flight_arm(rank, config.flight_buffer_events);
+    }
+    let mut comm: Box<dyn Communicator> = match &config.fault_plan {
+        Some(plan) => Box::new(FaultyComm::new(base, plan)),
+        None => Box::new(base),
+    };
+    let local = partition.extract(mesh, rank);
+    let mut solver = RankSolver::with_lanes(local, config, lanes, comm.as_mut());
+    let out = (move || {
+        if let Some(restore) = opts.restore {
+            match restore(rank, &solver.mesh) {
+                Ok(Some(state)) => solver.restore_from(state)?,
+                Ok(None) => {}
+                Err(e) => return Err(SolverError::Checkpoint(e)),
+            }
+        }
+        let mut sink = opts.sink_factory.map(|f| f(rank));
+        let sink_ref: Option<&mut dyn CheckpointSink> = match sink.as_mut() {
+            Some(b) => Some(&mut **b),
+            None => None,
+        };
+        solver.try_run_lanes(comm.as_mut(), sink_ref, capture_final_state)
+    })();
+    if out.is_err() {
+        // A failed rank never reached the harvest in `try_run_lanes`;
+        // drop its recorder so the global tracer gate is released.
+        let _ = specfem_obs::finish_rank();
+    }
+    if let Some(journal) = specfem_obs::flight_harvest() {
+        if let Some(deposit) = opts.flight {
+            deposit(journal);
+        }
+    }
+    out
 }
 
 /// The fault-tolerant `mpirun` analog: per-rank typed results instead of a
@@ -1285,51 +1347,38 @@ pub fn try_run_partitioned(
     Vec<Result<RankResult, SolverError>>,
     Option<specfem_comm::WatchdogReport>,
 ) {
+    let lanes = [single_lane(config, stations)];
+    let (per_rank, watchdog) =
+        try_run_partitioned_lanes(mesh, config, &lanes, profile, opts, partition, false);
+    (per_rank.into_iter().map(first_lane).collect(), watchdog)
+}
+
+/// [`try_run_partitioned`] for K event lanes fused into one solve: per
+/// rank, every lane's outcome in lane order.
+pub fn try_run_partitioned_lanes(
+    mesh: &GlobalMesh,
+    config: &SolverConfig,
+    lanes: &[EventLane],
+    profile: NetworkProfile,
+    opts: FtOptions<'_>,
+    partition: &Partition,
+    capture_final_state: bool,
+) -> (
+    Vec<Result<Vec<LaneResult>, SolverError>>,
+    Option<specfem_comm::WatchdogReport>,
+) {
     let nranks = partition.num_ranks;
-    let opts = &opts;
     let rank_main = |mut base: specfem_comm::ThreadComm| {
         base.set_recv_timeout(config.recv_timeout);
-        let rank = base.rank();
-        if config.trace {
-            // Before extraction so mesh-extract and setup spans land in
-            // the trace too.
-            specfem_obs::init_rank(rank, &specfem_obs::TraceConfig::default());
-        }
-        if config.flight_recorder {
-            specfem_obs::flight_arm(rank, config.flight_buffer_events);
-        }
-        let mut comm: Box<dyn Communicator> = match &config.fault_plan {
-            Some(plan) => Box::new(FaultyComm::new(base, plan)),
-            None => Box::new(base),
-        };
-        let local = partition.extract(mesh, rank);
-        let mut solver = RankSolver::new(local, config, stations, comm.as_mut());
-        let out = (move || {
-            if let Some(restore) = opts.restore {
-                match restore(rank, &solver.mesh) {
-                    Ok(Some(state)) => solver.restore_from(state)?,
-                    Ok(None) => {}
-                    Err(e) => return Err(SolverError::Checkpoint(e)),
-                }
-            }
-            let mut sink = opts.sink_factory.map(|f| f(rank));
-            let sink_ref: Option<&mut dyn CheckpointSink> = match sink.as_mut() {
-                Some(b) => Some(&mut **b),
-                None => None,
-            };
-            solver.try_run(comm.as_mut(), sink_ref)
-        })();
-        if out.is_err() {
-            // A failed rank never reached the harvest in `try_run`; drop
-            // its recorder so the global tracer gate is released.
-            let _ = specfem_obs::finish_rank();
-        }
-        if let Some(journal) = specfem_obs::flight_harvest() {
-            if let Some(deposit) = opts.flight {
-                deposit(journal);
-            }
-        }
-        out
+        rank_main(
+            base,
+            mesh,
+            partition,
+            config,
+            lanes,
+            &opts,
+            capture_final_state,
+        )
     };
     let (raw, watchdog) = match config.watchdog_timeout {
         Some(timeout) => {

@@ -1,4 +1,4 @@
-//! The clustered-LTS differential oracle (DESIGN.md §3k): with every
+//! The clustered-LTS differential oracle (DESIGN.md §3f): with every
 //! element forced to rate 1 (`lts_all_rate_one`), the LTS timeloop —
 //! per-cluster contribution kernels, frozen buffers, canonical scatter —
 //! must be **bit-identical** to the plain timeloop on seismograms and
