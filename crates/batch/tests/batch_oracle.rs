@@ -11,15 +11,16 @@
 //! either halo schedule, the ocean load, absorbing boundaries, fault
 //! injection, tracing — is in scope here too.
 
-use specfem_batch::{
-    try_run_batch_partitioned, try_run_batch_serial, BatchRankOutput, BatchRunOptions, EventLane,
-};
+use specfem_batch::EventLane;
 use specfem_comm::{tags, Communicator, FaultPlan, NetworkProfile, SerialComm, ThreadWorld};
 use specfem_kernels::KernelVariant;
 use specfem_mesh::stations::global_network;
 use specfem_mesh::{GlobalMesh, MeshParams, Partition};
 use specfem_model::{builtin_events, Prem, SourceTimeFunction, StfKind};
-use specfem_solver::{CheckpointState, RankSolver, SolverConfig, SolverError, SourceSpec};
+use specfem_solver::{
+    try_run_partitioned_lanes, try_run_serial_lanes, CheckpointState, FtOptions, LaneResult,
+    RankSolver, SolverConfig, SolverError, SourceSpec,
+};
 
 #[path = "../../../tests/common/oracle.rs"]
 mod oracle;
@@ -82,9 +83,6 @@ fn run_batch_and_compare(
     partition: &Partition,
 ) {
     let all_lanes = lanes(*ks.iter().max().unwrap());
-    let opts = BatchRunOptions {
-        capture_final_state: true,
-    };
     let ranks = partition.num_ranks;
     // want[lane][rank] — and no lane may be vacuously quiet.
     let want: Vec<Vec<CheckpointState>> = all_lanes
@@ -100,24 +98,27 @@ fn run_batch_and_compare(
     }
     for &k in ks {
         let lanes = &all_lanes[..k];
-        let outs: Vec<BatchRankOutput> = match ranks {
-            1 => vec![try_run_batch_serial(mesh, cfg, lanes, &opts).expect("batch run")],
-            _ => try_run_batch_partitioned(
+        let ft = FtOptions::default();
+        let outs: Vec<Vec<LaneResult>> = match ranks {
+            1 => vec![try_run_serial_lanes(mesh, cfg, lanes, ft, true).expect("batch run")],
+            _ => try_run_partitioned_lanes(
                 mesh,
                 cfg,
                 lanes,
                 NetworkProfile::loopback(),
+                ft,
                 partition,
-                &opts,
+                true,
             )
+            .0
             .into_iter()
             .map(|r| r.expect("rank ok"))
             .collect(),
         };
         assert_eq!(outs.len(), ranks);
         for (rank, out) in outs.iter().enumerate() {
-            assert_eq!(out.lanes.len(), k);
-            for ((lane, result), want) in lanes.iter().zip(&out.lanes).zip(&want) {
+            assert_eq!(out.len(), k);
+            for ((lane, result), want) in lanes.iter().zip(out).zip(&want) {
                 let label = format!("k{k}/rank{rank}/{}", lane.name);
                 let got = result.as_ref().expect("healthy lane");
                 let want = &want[rank];
@@ -248,19 +249,20 @@ fn halo_message_count_is_independent_of_lane_count() {
     let mesh = prem_mesh();
     let partition = Partition::compute(&mesh);
     let cfg = config(KernelVariant::Reference, 4);
-    let opts = BatchRunOptions::default();
     let run = |k: usize| {
-        try_run_batch_partitioned(
+        try_run_partitioned_lanes(
             &mesh,
             &cfg,
             &lanes(k),
             NetworkProfile::loopback(),
+            FtOptions::default(),
             &partition,
-            &opts,
+            false,
         )
+        .0
         .into_iter()
         // What the lanes share is reported on the first (healthy) lane.
-        .map(|r| r.expect("rank ok").lanes[0].as_ref().unwrap().comm.clone())
+        .map(|r| r.expect("rank ok")[0].as_ref().unwrap().comm.clone())
         .collect::<Vec<_>>()
     };
     let k1 = run(1);
@@ -308,20 +310,13 @@ fn poisoned_lane_fails_alone_and_siblings_stay_bit_identical() {
         force: [f64::NAN, 0.0, 1.0e18],
         stf: SourceTimeFunction::new(StfKind::Ricker, 200.0),
     };
-    let out = try_run_batch_serial(
-        &mesh,
-        &cfg,
-        &batch_lanes,
-        &BatchRunOptions {
-            capture_final_state: true,
-        },
-    )
-    .expect("batch completes despite the poisoned lane");
-    let report = out.lanes[1].as_ref().expect_err("lane 1 must trip");
+    let out = try_run_serial_lanes(&mesh, &cfg, &batch_lanes, FtOptions::default(), true)
+        .expect("batch completes despite the poisoned lane");
+    let report = out[1].as_ref().expect_err("lane 1 must trip");
     assert_eq!(report.rank, 0);
     assert!(!report.field.is_empty());
     for lane_idx in [0usize, 2] {
-        let got = out.lanes[lane_idx].as_ref().expect("sibling completes");
+        let got = out[lane_idx].as_ref().expect("sibling completes");
         let want = serial_state(&mesh, &cfg, &batch_lanes[lane_idx]);
         assert_state_matches(
             &batch_lanes[lane_idx].name,
@@ -339,13 +334,14 @@ fn rank_kill_on_a_fused_batch_is_a_typed_error_on_every_rank() {
         recv_timeout: Some(std::time::Duration::from_secs(5)),
         ..config(KernelVariant::Reference, 8)
     };
-    let outs = try_run_batch_partitioned(
+    let (outs, _) = try_run_partitioned_lanes(
         &mesh,
         &cfg,
         &lanes(2),
         NetworkProfile::loopback(),
+        FtOptions::default(),
         &Partition::balanced(&mesh, 4),
-        &BatchRunOptions::default(),
+        false,
     );
     assert_eq!(outs.len(), 4);
     for (rank, out) in outs.iter().enumerate() {
@@ -359,19 +355,16 @@ fn rank_kill_on_a_fused_batch_is_a_typed_error_on_every_rank() {
 #[test]
 fn armed_tracer_and_flight_recorder_leave_a_fused_batch_bit_identical() {
     let mesh = prem_mesh();
-    let opts = BatchRunOptions {
-        capture_final_state: true,
-    };
     let run = |armed: bool| {
         let cfg = SolverConfig {
             trace: armed,
             flight_recorder: armed,
             ..config(KernelVariant::Reference, 6)
         };
-        try_run_batch_serial(&mesh, &cfg, &lanes(2), &opts).expect("batch run")
+        try_run_serial_lanes(&mesh, &cfg, &lanes(2), FtOptions::default(), true).expect("batch run")
     };
     let (armed, disarmed) = (run(true), run(false));
-    for (a, d) in armed.lanes.iter().zip(&disarmed.lanes) {
+    for (a, d) in armed.iter().zip(&disarmed) {
         let (a, d) = (a.as_ref().unwrap(), d.as_ref().unwrap());
         assert!(a.profile.is_some() && d.profile.is_none());
         assert_state_matches(

@@ -160,9 +160,8 @@ fn run_batch_mode(args: &Args) {
             unbatched.report.failed_jobs, batched.report.failed_jobs
         ));
     }
-    // Every job must actually have taken the fused path (trailing
-    // batches smaller than the lane cap still count — only a batch of
-    // one falls back to the single-lane path).
+    // Every job must actually have been fused (trailing groups smaller
+    // than the lane cap still count — only a group of one runs alone).
     let fusable = if args.jobs % lanes.min(args.jobs) == 1 {
         args.jobs - 1
     } else {

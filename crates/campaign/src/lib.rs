@@ -15,7 +15,9 @@
 //! * **Robustness** — per-job retry with linear backoff on solver/comm
 //!   failure; retries strip the job's fault plan and, when a checkpoint
 //!   root is configured, resume from the newest complete checkpoint, so
-//!   a fault-injected job finishes bit-identical to a clean run.
+//!   a fault-injected job finishes bit-identical to a clean run. Jobs
+//!   fused into one solve go through the same attempt loop: a failure of
+//!   the shared solve is attempt 1 of each, and they continue alone.
 //! * **Observability** — a [`CampaignReport`] (per-job wall time, queue
 //!   wait, cache outcome, retries, aggregate element·steps/s) in text
 //!   and JSON, plus a merged Perfetto timeline with one track per
@@ -44,13 +46,14 @@ pub use packer::{batch_key, plan_batches, BatchKey};
 pub use report::{CampaignReport, JobRow, JobTelemetry};
 
 use std::cmp::Reverse;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use specfem_core::{NetworkProfile, RunOptions, Simulation, SimulationResult};
+use specfem_core::{NetworkProfile, RunFailure, RunOptions, Simulation, SimulationResult};
 use specfem_io::MeshArtifactStore;
 use specfem_obs::{Track, TrackEvent};
 
@@ -210,13 +213,13 @@ pub struct CampaignConfig {
     /// Bound on queued (not yet dispatched) jobs; `submit` blocks at the
     /// bound. 0 = unbounded.
     pub queue_capacity: usize,
-    /// Maximum event lanes fused into one batched solve (`Par_file` key
-    /// `BATCH_MAX_LANES`). 1 (the default) disables batching — every
-    /// job takes the single-lane path, untouched. With more lanes, a
-    /// worker that dequeues a batchable serial job also claims every
-    /// queued job sharing its [`BatchKey`] (same mesh, same fused-loop
-    /// shape) and runs them as one solve; each job still gets its own
-    /// [`JobOutcome`], bit-identical to an unbatched run.
+    /// Maximum event lanes fused into one solve (`Par_file` key
+    /// `BATCH_MAX_LANES`). 1 (the default) disables fusing — every job
+    /// is dispatched as a group of one. With more lanes, a worker that
+    /// dequeues a batchable serial job also claims every queued job
+    /// sharing its [`BatchKey`] (same mesh, same fused-loop shape) and
+    /// runs the group as one solve; each job still gets its own
+    /// [`JobOutcome`], bit-identical to a run alone.
     pub batch_max_lanes: usize,
     /// How long a worker holding a non-full batch waits for more
     /// batch-mates to be submitted before solving (`Par_file` key
@@ -602,12 +605,7 @@ fn worker_loop(shared: Arc<Shared>, worker_id: usize) {
                 st = shared.cond.wait(st).unwrap();
             }
         };
-        let outcomes = if batch.len() == 1 {
-            let queued = batch.into_iter().next().unwrap();
-            vec![run_job(&shared, worker_id, queued)]
-        } else {
-            run_batch(&shared, worker_id, batch)
-        };
+        let outcomes = run_group(&shared, worker_id, batch);
         // Completion hook first (lock dropped before the call), so a
         // waiting daemon connection is answered before the outcome even
         // reaches the drainable backlog.
@@ -625,259 +623,245 @@ fn worker_loop(shared: Arc<Shared>, worker_id: usize) {
     }
 }
 
-/// Run K fused jobs as one batched solve and fan the per-lane results
-/// out to one [`JobOutcome`] each. The fused loop's shared accounting
-/// follows `specfem_core::batch::try_run_batch_with_mesh`: comm/flops
-/// on lane 0, the real mesh-cache outcome on lane 0 (siblings are
-/// `Hit` — they shared lane 0's acquisition). A lane poisoned by a
-/// health trip fails only its own job. A whole-batch setup failure or
-/// panic falls back to running every job on the single-lane path.
-fn run_batch(shared: &Shared, worker: usize, batch: Vec<QueuedJob>) -> Vec<JobOutcome> {
-    let start_ns = specfem_obs::timestamp_ns();
-    let t0 = Instant::now();
-    let _span = specfem_obs::span("campaign.batch");
-    let k = batch.len();
-    let queue_waits: Vec<f64> = batch
-        .iter()
-        .map(|q| q.submitted.elapsed().as_secs_f64())
-        .collect();
-
-    let attempted = catch_unwind(AssertUnwindSafe(|| {
-        let lead = &batch[0].job.sim;
-        let key = lead.mesh_key();
-        let (mesh, cache_outcome) =
-            shared
-                .cache
-                .get_or_build(&key, &lead.params, lead.estimated_mesh_bytes(), || {
-                    lead.build_mesh().0
-                });
-        let sims: Vec<&Simulation> = batch.iter().map(|q| &q.job.sim).collect();
-        specfem_core::batch::try_run_batch_with_mesh(&sims, &mesh, None)
-            .map(|results| (mesh.nspec, cache_outcome, results))
-    }));
-    let (nspec, cache_outcome, results) = match attempted {
-        Ok(Ok(parts)) => parts,
-        Ok(Err(setup_err)) => {
-            // The packer should have screened this; recover by running
-            // the jobs unfused rather than failing them.
-            specfem_obs::counter_add("campaign.batch_fallbacks", 1);
-            eprintln!("warning: batch of {k} fell back to single-lane runs: {setup_err}");
-            return batch
-                .into_iter()
-                .map(|q| run_job(shared, worker, q))
-                .collect();
-        }
-        Err(_panic) => {
-            specfem_obs::counter_add("campaign.batch_fallbacks", 1);
-            eprintln!("warning: batched solve panicked; rerunning {k} job(s) single-lane");
-            return batch
-                .into_iter()
-                .map(|q| run_job(shared, worker, q))
-                .collect();
-        }
-    };
-    specfem_obs::counter_add("campaign.batched_jobs", k as u64);
-    let end_ns = specfem_obs::timestamp_ns();
-    let run_s = t0.elapsed().as_secs_f64();
-    batch
-        .into_iter()
-        .zip(results)
-        .zip(queue_waits)
-        .enumerate()
-        .map(|(lane, ((q, res), queue_wait_s))| {
-            let mut telemetry = JobTelemetry {
-                batch_lanes: k,
-                native_world: 1,
-                ..JobTelemetry::default()
-            };
-            let result = match res {
-                Ok(r) => {
-                    roll_up_result(&mut telemetry, &r);
-                    Ok(r)
-                }
-                Err(e) => {
-                    roll_up_error(&mut telemetry, &e);
-                    Err(e.to_string())
-                }
-            };
-            let element_steps = if result.is_ok() {
-                nspec as u64 * q.job.sim.config.nsteps as u64
-            } else {
-                0
-            };
-            specfem_obs::counter_add("campaign.jobs_finished", 1);
-            JobOutcome {
-                name: q.job.name,
-                index: q.index,
-                worker,
-                attempts: 1,
-                queue_wait_s,
-                run_s,
-                cache: if lane == 0 {
-                    cache_outcome
-                } else {
-                    CacheOutcome::Hit
-                },
-                element_steps,
-                start_ns,
-                end_ns,
-                result,
-                telemetry,
-            }
-        })
-        .collect()
+/// One job of a dispatched group, from claim to outcome.
+struct Member {
+    queued: QueuedJob,
+    queue_wait_s: f64,
+    attempts: usize,
+    /// Rolled up across attempts; `final_world` doubles as the
+    /// shrink-to-survive world override of the next attempt.
+    telemetry: JobTelemetry,
+    /// `Some` once the job has succeeded or run out of attempts.
+    result: Option<Result<SimulationResult, String>>,
 }
 
-/// Newest crash-dossier path inside a job's checkpoint directory
-/// (`dossier_<class>_<seq>.sfcn` — the sequence number is monotonic, so
-/// lexicographically-last is newest).
-fn newest_dossier(dir: &std::path::Path) -> Option<String> {
-    let mut best: Option<String> = None;
-    for entry in std::fs::read_dir(dir).ok()?.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with("dossier_") && name.ends_with(".sfcn") {
-            let path = entry.path().display().to_string();
-            if best.as_deref().is_none_or(|b| path.as_str() > b) {
-                best = Some(path);
+impl Member {
+    /// Record a failed attempt — structured cause and dossier into the
+    /// telemetry — and either arm the next one (`true`: run me again) or
+    /// make `message` the job's final error.
+    fn failed(
+        &mut self,
+        message: String,
+        failure: Option<&RunFailure>,
+        again: bool,
+        retry: &RetryPolicy,
+    ) -> bool {
+        if let Some(RunFailure { error, dossier }) = failure {
+            roll_up_error(&mut self.telemetry, error);
+            if let Some(path) = dossier {
+                self.telemetry.dossier = Some(path.display().to_string());
             }
         }
+        if !again {
+            self.result = Some(Err(message));
+        } else if retry.shrink_to_survive
+            && self.queued.job.mode == JobMode::Distributed
+            && failure.is_some_and(|f| shrinkable(&f.error))
+        {
+            // Shrink-to-survive: one rank is gone, so re-admit the
+            // survivors on a world one rank smaller. The merged checkpoint
+            // container is rank-count independent — the shrunken world
+            // resumes from the last good generation.
+            let cur = self
+                .telemetry
+                .final_world
+                .unwrap_or(self.telemetry.native_world);
+            let next = cur.saturating_sub(1).max(1);
+            if next < cur {
+                self.telemetry.final_world = Some(next);
+                self.telemetry.shrink_path.push(next);
+                specfem_obs::counter_add("campaign.world_shrinks", 1);
+            }
+        }
+        again
     }
-    best
 }
 
-fn run_job(shared: &Shared, worker: usize, queued: QueuedJob) -> JobOutcome {
-    let queue_wait_s = queued.submitted.elapsed().as_secs_f64();
+/// The job driver, written once for any group size: run the K ≥ 1 jobs a
+/// worker claimed together — one job, or K serial jobs sharing one
+/// [`BatchKey`] — to one [`JobOutcome`] each.
+///
+/// Attempt 1 runs the whole group as the K lanes of one
+/// `specfem_core::run_group` solve. A member whose lane fails (a health
+/// trip poisons only its own lane) retries alone under the
+/// [`RetryPolicy`]; when the solve fails *as a whole* (dead rank, comm
+/// failure, panic), that was attempt 1 of every member and each continues
+/// as a one-lane group from attempt 2. Every attempt after a member's
+/// first runs with the fault plan stripped and, when alone under a
+/// checkpoint root, resumes from its newest checkpoint. A fused whole-solve
+/// failure always grants that second attempt, whatever `max_retries` says:
+/// fusing is an optimization and must never cost a job that would have
+/// succeeded alone.
+///
+/// What the fused loop physically shares is reported once: comm/flops on
+/// the first healthy lane (see `specfem_core::run_group`), the real
+/// mesh-cache outcome on member 0 (siblings are `Hit` — they shared its
+/// acquisition), and one crash dossier per incident, which every member
+/// the incident failed points at. A group's dossiers land in its first
+/// member's checkpoint directory.
+fn run_group(shared: &Shared, worker: usize, group: Vec<QueuedJob>) -> Vec<JobOutcome> {
     let start_ns = specfem_obs::timestamp_ns();
     let t0 = Instant::now();
-    let job = &queued.job;
-    let _span = specfem_obs::span("campaign.job");
-
-    let attempted = catch_unwind(AssertUnwindSafe(|| {
-        let key = job.sim.mesh_key();
-        let estimated = job.sim.estimated_mesh_bytes();
-        let (mesh, cache_outcome) =
-            shared
-                .cache
-                .get_or_build(&key, &job.sim.params, estimated, || job.sim.build_mesh().0);
-        let checkpoint_dir = shared
+    let _span = specfem_obs::span("campaign.group");
+    let retry = shared.cfg.retry;
+    let mut members: Vec<Member> = group
+        .into_iter()
+        .map(|queued| Member {
+            queue_wait_s: queued.submitted.elapsed().as_secs_f64(),
+            attempts: 0,
+            telemetry: JobTelemetry {
+                trace_id: queued.job.trace.map(|t| t.hex()),
+                native_world: queued.job.thread_footprint(),
+                ..JobTelemetry::default()
+            },
+            result: None,
+            queued,
+        })
+        .collect();
+    // Acquired inside the first attempt so a panicking mesh build is
+    // caught like any other; every member shares the lead's mesh key.
+    let mut mesh: Option<(Arc<specfem_core::GlobalMesh>, CacheOutcome)> = None;
+    let mut work = VecDeque::from([(0..members.len()).collect::<Vec<usize>>()]);
+    while let Some(lanes) = work.pop_front() {
+        let fused = lanes.len() > 1;
+        let attempt = members[lanes[0]].attempts + 1;
+        if attempt > 1 {
+            std::thread::sleep(retry.backoff * (attempt - 1) as u32);
+        }
+        let sims: Vec<Simulation> = lanes
+            .iter()
+            .map(|&m| {
+                let member = &mut members[m];
+                member.attempts = attempt;
+                member.telemetry.batch_lanes = if fused { lanes.len() } else { 0 };
+                let job = &member.queued.job;
+                let mut sim = job.sim.clone();
+                sim.config.trace_id = job.trace;
+                if attempt > 1 {
+                    // The fault plan had its chance; retries run clean and,
+                    // when checkpointing, resume where the fault struck.
+                    sim.config.fault_plan = None;
+                }
+                sim
+            })
+            .collect();
+        let lead = &members[lanes[0]];
+        let job = &lead.queued.job;
+        let dir = shared
             .cfg
             .checkpoint_root
             .as_ref()
             .map(|root| root.join(sanitize(&job.name)));
-        let mut attempts = 0;
-        let mut telemetry = JobTelemetry {
-            trace_id: job.trace.map(|t| t.hex()),
-            ..JobTelemetry::default()
-        };
-        let native_world = match job.mode {
-            JobMode::Serial => 1,
-            JobMode::Distributed => job.sim.params.num_ranks(),
-        };
-        let mut world_override: Option<usize> = None;
-        let result = loop {
-            attempts += 1;
-            let mut sim = job.sim.clone();
-            sim.config.trace_id = job.trace;
-            if attempts > 1 {
-                // The fault plan had its chance; retries run clean and,
-                // when checkpointing, resume where the fault struck.
-                sim.config.fault_plan = None;
-            }
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            let (mesh, _) = mesh.get_or_insert_with(|| {
+                shared.cache.get_or_build(
+                    &job.sim.mesh_key(),
+                    &job.sim.params,
+                    job.sim.estimated_mesh_bytes(),
+                    || job.sim.build_mesh().0,
+                )
+            });
             let opts = RunOptions {
                 profile: match job.mode {
                     JobMode::Serial => None,
                     JobMode::Distributed => Some(shared.cfg.profile),
                 },
-                checkpoint_dir: checkpoint_dir.as_deref(),
-                resume: checkpoint_dir.is_some(),
-                world: world_override,
-                dossier_dir: None,
+                // Checkpoints hold one lane: only a job running alone
+                // writes and resumes them.
+                checkpoint_dir: dir.as_deref().filter(|_| !fused),
+                resume: dir.is_some() && !fused,
+                world: lead.telemetry.final_world,
+                dossier_dir: dir.as_deref(),
             };
-            match sim.try_run_with_mesh(&mesh, opts) {
-                Ok(res) => {
-                    roll_up_result(&mut telemetry, &res);
-                    break Ok(res);
-                }
-                Err(e) => {
-                    roll_up_error(&mut telemetry, &e);
-                    // A failed attempt with the flight recorder armed left
-                    // a crash dossier next to the checkpoints — record the
-                    // newest so the report/serve layers can point at it.
-                    if let Some(dir) = checkpoint_dir.as_deref() {
-                        if let Some(d) = newest_dossier(dir) {
-                            telemetry.dossier = Some(d);
-                        }
-                    }
-                    if attempts <= shared.cfg.retry.max_retries {
-                        if shared.cfg.retry.shrink_to_survive
-                            && job.mode == JobMode::Distributed
-                            && shrinkable(&e)
-                        {
-                            // Shrink-to-survive: one rank is gone, so
-                            // re-admit the survivors on a world one rank
-                            // smaller. The merged checkpoint container is
-                            // rank-count independent — the shrunken world
-                            // resumes from the last good generation.
-                            let cur = world_override.unwrap_or(native_world);
-                            let next = cur.saturating_sub(1).max(1);
-                            if next < cur {
-                                world_override = Some(next);
-                                telemetry.shrink_path.push(next);
-                                specfem_obs::counter_add("campaign.world_shrinks", 1);
-                            }
-                        }
-                        std::thread::sleep(shared.cfg.retry.backoff * attempts as u32);
-                        continue;
-                    }
-                    break Err(e.to_string());
-                }
+            specfem_core::run_group(&sims.iter().collect::<Vec<_>>(), mesh, opts, None)
+        }));
+        // The solve as a whole failed: the message each outcome would
+        // report, plus the typed failure when the solver produced one.
+        let (per_lane, whole) = match ran {
+            Ok(Ok(per_lane)) => (per_lane, None),
+            Ok(Err(failure)) => (Vec::new(), Some((failure.error.to_string(), Some(failure)))),
+            Err(panic) => {
+                let msg = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "job panicked".into());
+                (Vec::new(), Some((format!("job panicked: {msg}"), None)))
             }
         };
-        telemetry.native_world = native_world;
-        telemetry.final_world = world_override;
-        let element_steps = if result.is_ok() {
-            mesh.nspec as u64 * job.sim.config.nsteps as u64
-        } else {
-            0
-        };
-        (cache_outcome, attempts, element_steps, result, telemetry)
-    }));
-
-    let (cache_outcome, attempts, element_steps, result, telemetry) = match attempted {
-        Ok(parts) => parts,
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "job panicked".into());
-            (
-                CacheOutcome::Miss,
-                1,
-                0,
-                Err(format!("job panicked: {msg}")),
-                JobTelemetry {
-                    trace_id: job.trace.map(|t| t.hex()),
-                    ..JobTelemetry::default()
-                },
-            )
+        if fused {
+            match &whole {
+                None => specfem_obs::counter_add("campaign.batched_jobs", lanes.len() as u64),
+                Some((message, _)) => {
+                    specfem_obs::counter_add("campaign.batch_fallbacks", 1);
+                    eprintln!(
+                        "warning: fused solve of {} jobs failed, continuing them alone: {message}",
+                        lanes.len()
+                    );
+                }
+            }
         }
-    };
-    specfem_obs::counter_add("campaign.jobs_finished", 1);
-    JobOutcome {
-        name: job.name.clone(),
-        index: queued.index,
-        worker,
-        attempts,
-        queue_wait_s,
-        run_s: t0.elapsed().as_secs_f64(),
-        cache: cache_outcome,
-        element_steps,
-        start_ns,
-        end_ns: specfem_obs::timestamp_ns(),
-        result,
-        telemetry,
+        let retries_left = attempt <= retry.max_retries;
+        for (&m, lane) in lanes.iter().zip(per_lane) {
+            let member = &mut members[m];
+            match lane {
+                Ok(res) => {
+                    roll_up_result(&mut member.telemetry, &res);
+                    member.result = Some(Ok(res));
+                }
+                Err(failure) => {
+                    let message = failure.error.to_string();
+                    if member.failed(message, Some(&failure), retries_left, &retry) {
+                        work.push_back(vec![m]);
+                    }
+                }
+            }
+        }
+        if let Some((message, failure)) = &whole {
+            // A panic before the mesh exists cannot be retried: the cache
+            // still holds the build slot.
+            let again = mesh.is_some() && (retries_left || fused);
+            for &m in &lanes {
+                if members[m].failed(message.clone(), failure.as_ref(), again, &retry) {
+                    work.push_back(vec![m]);
+                }
+            }
+        }
     }
+    let run_s = t0.elapsed().as_secs_f64();
+    let end_ns = specfem_obs::timestamp_ns();
+    let nspec = mesh.as_ref().map_or(0, |(mesh, _)| mesh.nspec as u64);
+    members
+        .into_iter()
+        .enumerate()
+        .map(|(m, member)| {
+            let job = member.queued.job;
+            let result = member.result.expect("every member ends with a result");
+            specfem_obs::counter_add("campaign.jobs_finished", 1);
+            JobOutcome {
+                name: job.name,
+                index: member.queued.index,
+                worker,
+                attempts: member.attempts,
+                queue_wait_s: member.queue_wait_s,
+                run_s,
+                cache: match mesh {
+                    Some((_, outcome)) if m == 0 => outcome,
+                    Some(_) => CacheOutcome::Hit,
+                    None => CacheOutcome::Miss,
+                },
+                element_steps: if result.is_ok() {
+                    nspec * job.sim.config.nsteps as u64
+                } else {
+                    0
+                },
+                start_ns,
+                end_ns,
+                result,
+                telemetry: member.telemetry,
+            }
+        })
+        .collect()
 }
 
 /// Fold a finished run's comm counters, per-tag traffic, recv-wait

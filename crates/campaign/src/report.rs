@@ -44,8 +44,8 @@ pub struct JobTelemetry {
     /// World size of the final attempt when elastic retry shrank it below
     /// the native decomposition (`None` = ran at native size).
     pub final_world: Option<usize>,
-    /// Lanes of the batched solve this job rode in (0 or 1 = ran
-    /// unbatched on the single-lane path).
+    /// Lanes of the fused solve the job's last attempt rode in (0 = it
+    /// ran alone, as a group of one).
     pub batch_lanes: usize,
     /// Clustered-LTS rate cap in effect on the job's run (`None` = LTS
     /// off, every element at the global minimum dt).
@@ -56,8 +56,9 @@ pub struct JobTelemetry {
     /// End-to-end correlation id (16 hex digits) the job ran under —
     /// minted at submit or adopted from the caller's request.
     pub trace_id: Option<String>,
-    /// Path of the newest crash dossier a failed attempt left behind
-    /// (`None` = no attempt failed with the flight recorder armed).
+    /// Path of the crash dossier the newest failed attempt left behind
+    /// (`None` = no attempt failed with the flight recorder armed). Jobs
+    /// a fused solve's one incident failed together share one dossier.
     pub dossier: Option<String>,
 }
 

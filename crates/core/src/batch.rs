@@ -1,20 +1,13 @@
-//! Facade-level glue for fused multi-event runs: decide which
-//! [`Simulation`]s may share one solve, and run K of them as the K lanes
-//! of one `specfem_solver` time loop, producing K ordinary
-//! [`SimulationResult`]s.
+//! Which [`Simulation`]s may share one solve: the fusion screen and the
+//! batch-compatibility fingerprint the campaign packer, the serve daemon
+//! and [`crate::run_group`] agree on. Running the group is `run_group`'s
+//! job — a fused run is that driver with more than one lane.
 //!
-//! The campaign packer and the serve daemon only ever talk to this
-//! module. The contract is the crate-wide zero-ULP one: each lane's
-//! seismograms are bit-identical to the serial run of the same job, so a
-//! fused answer is cached under the same `result_key` a serial answer
-//! would be.
+//! The contract is the crate-wide zero-ULP one: each lane's seismograms
+//! are bit-identical to the serial run of the same job, so a fused answer
+//! is cached under the same `result_key` a serial answer would be.
 
-use specfem_comm::NetworkProfile;
-use specfem_kernels::MAX_BATCH_LANES;
-use specfem_mesh::{GlobalMesh, Partition};
-use specfem_solver::{EventLane, FtOptions, LaneResult, RankResult, SolverError};
-
-use crate::{hash_shared_physics, ResultFnv, Simulation, SimulationResult};
+use crate::{hash_shared_physics, ResultFnv, Simulation};
 
 /// May this simulation ride as one lane of a fused solve? The solver
 /// states which configurations still need per-lane data it does not carry
@@ -54,136 +47,11 @@ pub fn batch_compat_key(sim: &Simulation) -> Option<u64> {
     Some(h.finish())
 }
 
-/// Why a batch could not even be attempted (a packing/validation error,
-/// distinct from a per-lane [`SolverError`]). The caller's fallback is
-/// always the same: run the jobs on the single-lane path instead.
-pub type BatchSetupError = String;
-
-/// Run `sims` — up to [`MAX_BATCH_LANES`] simulations sharing one mesh
-/// and one [`batch_compat_key`] — as the lanes of a single solve. `profile
-/// = None` solves serially on one in-process rank; `Some(profile)` runs
-/// the mesh's native `6 × NPROC_XI²` thread world.
-///
-/// Returns one entry per input simulation, in order: the lane's
-/// [`SimulationResult`] (bit-identical to what `run_serial_with_mesh` /
-/// `run_parallel_with_mesh` would have produced), or the
-/// [`SolverError::Health`] that poisoned that lane while its siblings
-/// completed. A whole-batch failure (comm error, rank panic, lane
-/// mismatch) surfaces as the outer `Err` so the caller can rerun the
-/// jobs unfused.
-///
-/// Accounting follows [`LaneResult`]: what the fused loop physically
-/// shares (communication and flop counters) is reported on lane 0's
-/// `RankResult`s only, so summing telemetry across the returned results
-/// never double-counts; wall time and the traced rank profile describe
-/// the whole solve and appear on every lane.
-pub fn try_run_batch_with_mesh(
-    sims: &[&Simulation],
-    mesh: &GlobalMesh,
-    profile: Option<NetworkProfile>,
-) -> Result<Vec<Result<SimulationResult, SolverError>>, BatchSetupError> {
-    if sims.is_empty() {
-        return Err("empty batch".into());
-    }
-    if sims.len() > MAX_BATCH_LANES {
-        return Err(format!(
-            "batch of {} lanes exceeds MAX_BATCH_LANES = {MAX_BATCH_LANES}",
-            sims.len()
-        ));
-    }
-    let key = batch_compat_key(sims[0])
-        .ok_or_else(|| format!("'{}' is not batchable", lane_name(sims[0], 0)))?;
-    for (i, sim) in sims.iter().enumerate() {
-        match batch_compat_key(sim) {
-            Some(k) if k == key => {}
-            Some(_) => {
-                return Err(format!(
-                    "'{}' has a different batch-compat key than lane 0",
-                    lane_name(sim, i)
-                ))
-            }
-            None => return Err(format!("'{}' is not batchable", lane_name(sim, i))),
-        }
-        let theirs = specfem_mesh::MeshKey::new(&mesh.params, sim.model.id());
-        let check = if profile.is_some() {
-            sim.mesh_key().fingerprint() == theirs.fingerprint()
-        } else {
-            sim.mesh_key().geometry_fingerprint() == theirs.geometry_fingerprint()
-        };
-        if !check {
-            return Err(format!(
-                "'{}' was configured for a different mesh than the one supplied",
-                lane_name(sim, i)
-            ));
-        }
-    }
-
-    let lanes: Vec<EventLane> = sims
-        .iter()
-        .enumerate()
-        .map(|(i, sim)| EventLane {
-            name: lane_name(sim, i),
-            source: sim.config.source.clone(),
-            stations: sim.stations.clone(),
-        })
-        .collect();
-    // The compat key pins every shared knob, so lane 0's config
-    // legitimately drives the fused loop.
-    let config = &sims[0].config;
-    let ft = FtOptions::default();
-    let per_rank: Vec<Result<Vec<LaneResult>, SolverError>> = match profile {
-        None => vec![specfem_solver::try_run_serial_lanes(
-            mesh, config, &lanes, ft, false,
-        )],
-        Some(profile) => {
-            let partition = Partition::compute(mesh);
-            specfem_solver::try_run_partitioned_lanes(
-                mesh, config, &lanes, profile, ft, &partition, false,
-            )
-            .0
-        }
-    };
-    // Transpose rank-major lane outcomes into one result per lane; a
-    // health trip on any rank fails the lane (and only it).
-    let mut per_lane: Vec<Result<Vec<RankResult>, SolverError>> =
-        sims.iter().map(|_| Ok(Vec::new())).collect();
-    for rank in per_rank {
-        let rank = rank.map_err(|e| format!("batched solve failed: {e}"))?;
-        for (slot, lane) in per_lane.iter_mut().zip(rank) {
-            match (slot.as_mut(), lane) {
-                (Ok(ranks), Ok(r)) => ranks.push(r),
-                (Ok(_), Err(report)) => *slot = Err(SolverError::Health(report)),
-                (Err(_), _) => {}
-            }
-        }
-    }
-    Ok(per_lane
-        .into_iter()
-        .zip(sims)
-        .map(|(ranks, sim)| {
-            let mut ranks = ranks?;
-            // Each lane keeps its *own* correlation id — the fused loop
-            // shares physics knobs across lanes, but tracing identity
-            // stays per-event.
-            ranks
-                .iter_mut()
-                .for_each(|r| r.trace_id = sim.config.trace_id);
-            Ok(SimulationResult::from_ranks(ranks, None, None, &sim.config))
-        })
-        .collect())
-}
-
-fn lane_name(sim: &Simulation, index: usize) -> String {
-    match &sim.config.source {
-        specfem_solver::SourceSpec::Cmt { event, .. } => event.name.clone(),
-        _ => format!("lane-{index}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{KernelVariant, SimulationBuilder};
+    use crate::{run_group, KernelVariant, RunOptions, SimulationBuilder};
+    use specfem_solver::SolverError;
 
     fn batch_sim(event: &str) -> SimulationBuilder {
         Simulation::builder()
@@ -272,7 +140,7 @@ mod tests {
             .collect();
         let refs: Vec<&Simulation> = sims.iter().collect();
         let (mesh, _) = sims[0].build_mesh();
-        let results = try_run_batch_with_mesh(&refs, &mesh, None).unwrap();
+        let results = run_group(&refs, &mesh, RunOptions::default(), None).unwrap();
         assert_eq!(results.len(), 2);
         for (sim, result) in sims.iter().zip(&results) {
             let batched = result.as_ref().unwrap();
@@ -301,8 +169,11 @@ mod tests {
         let a = batch_sim("argentina_deep").build().unwrap();
         let b = batch_sim("sumatra_thrust").steps(9).build().unwrap();
         let (mesh, _) = a.build_mesh();
-        let err = try_run_batch_with_mesh(&[&a, &b], &mesh, None).unwrap_err();
-        assert!(err.contains("batch-compat"), "got: {err}");
-        assert!(try_run_batch_with_mesh(&[], &mesh, None).is_err());
+        let err = run_group(&[&a, &b], &mesh, RunOptions::default(), None).unwrap_err();
+        assert!(
+            matches!(&err.error, SolverError::Refused(why) if why.contains("batch-compat")),
+            "got: {err:?}"
+        );
+        assert!(run_group(&[], &mesh, RunOptions::default(), None).is_err());
     }
 }

@@ -403,71 +403,52 @@ impl Simulation {
     }
 
     /// Check that a caller-supplied mesh actually is the mesh this
-    /// simulation would build. The mesh cannot prove which Earth model
-    /// filled it, so model identity is the caller's responsibility (the
-    /// campaign cache guarantees it by addressing meshes with
-    /// [`Simulation::mesh_key`]).
-    fn check_mesh_compatible(&self, mesh: &GlobalMesh, distributed: bool) {
+    /// simulation would build: the full key on the distributed paths, the
+    /// geometry alone on the serial path (which ignores the decomposition
+    /// knobs). The mesh cannot prove which Earth model filled it, so model
+    /// identity is the caller's responsibility (the campaign cache
+    /// guarantees it by addressing meshes with [`Simulation::mesh_key`]).
+    fn check_mesh_compatible(
+        &self,
+        mesh: &GlobalMesh,
+        distributed: bool,
+    ) -> Result<(), MeshMismatch> {
         let ours = self.mesh_key();
         let theirs = mesh::MeshKey::new(&mesh.params, self.model.id());
-        if distributed {
-            assert_eq!(
-                ours.fingerprint(),
-                theirs.fingerprint(),
-                "mesh/simulation mismatch: the supplied mesh was built for different \
-                 parameters or decomposition (mesh key {} vs simulation key {})",
-                theirs.hex(),
-                ours.hex(),
-            );
+        let (simulation, mesh) = if distributed {
+            (ours.fingerprint(), theirs.fingerprint())
         } else {
-            // The serial path ignores the decomposition knobs.
-            assert_eq!(
-                ours.geometry_fingerprint(),
-                theirs.geometry_fingerprint(),
-                "mesh/simulation mismatch: the supplied mesh has different geometry \
-                 (mesh geometry {} vs simulation geometry {})",
-                theirs.geometry_hex(),
-                ours.geometry_hex(),
-            );
+            (ours.geometry_fingerprint(), theirs.geometry_fingerprint())
+        };
+        if mesh == simulation {
+            return Ok(());
         }
+        Err(MeshMismatch {
+            distributed,
+            mesh,
+            simulation,
+        })
     }
 
     /// Run on a single rank (merged mesher+solver, no MPI).
     pub fn run_serial(&self) -> SimulationResult {
-        let (mesh, mesher_profile) = self.build_mesh();
-        self.run_serial_inner(&mesh, mesher_profile)
+        expect_run(self.build_and_run(RunOptions::default()))
     }
 
     /// [`Simulation::run_serial`] against a prebuilt (typically cached and
     /// shared) mesh. The mesh must match this simulation's geometry; the
     /// decomposition knobs are ignored on the serial path.
     pub fn run_serial_with_mesh(&self, mesh: &GlobalMesh) -> SimulationResult {
-        self.check_mesh_compatible(mesh, false);
-        self.run_serial_inner(mesh, None)
-    }
-
-    fn run_serial_inner(
-        &self,
-        mesh: &GlobalMesh,
-        mesher_profile: Option<obs::RankProfile>,
-    ) -> SimulationResult {
-        let result = specfem_solver::run_serial(mesh, &self.config, &self.stations);
-        let out = SimulationResult {
-            seismograms: result.seismograms.clone(),
-            dt: result.dt,
-            ranks: vec![result],
-            mesher_profile,
-            watchdog: None,
-        };
-        out.autowrite_observability(&self.config);
-        out
+        expect_run(self.try_run_with_mesh(mesh, RunOptions::default()))
     }
 
     /// Run on the full `6 × NPROC_XI²`-rank thread world, charging
     /// communication against `profile`.
     pub fn run_parallel(&self, profile: NetworkProfile) -> SimulationResult {
-        let (mesh, mesher_profile) = self.build_mesh();
-        self.run_parallel_inner(&mesh, profile, mesher_profile)
+        expect_run(self.build_and_run(RunOptions {
+            profile: Some(profile),
+            ..RunOptions::default()
+        }))
     }
 
     /// [`Simulation::run_parallel`] against a prebuilt mesh. The mesh must
@@ -477,189 +458,45 @@ impl Simulation {
         mesh: &GlobalMesh,
         profile: NetworkProfile,
     ) -> SimulationResult {
-        self.check_mesh_compatible(mesh, true);
-        self.run_parallel_inner(mesh, profile, None)
-    }
-
-    fn run_parallel_inner(
-        &self,
-        mesh: &GlobalMesh,
-        profile: NetworkProfile,
-        mesher_profile: Option<obs::RankProfile>,
-    ) -> SimulationResult {
-        let (per_rank, watchdog) = specfem_solver::try_run_distributed_watched(
+        expect_run(self.try_run_with_mesh(
             mesh,
-            &self.config,
-            &self.stations,
-            profile,
-            solver::FtOptions::default(),
-        );
-        let ranks: Vec<RankResult> = per_rank
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("solver rank failed: {e}")))
-            .collect();
-        SimulationResult::from_ranks(ranks, mesher_profile, watchdog, &self.config)
+            RunOptions {
+                profile: Some(profile),
+                ..RunOptions::default()
+            },
+        ))
     }
 
     /// Fault-tolerant run against a prebuilt mesh with typed errors — the
-    /// campaign runtime's entry point. `opts.profile = None` runs the whole
+    /// one-lane case of [`run_group`]. `opts.profile = None` runs the whole
     /// mesh on one in-process rank (the merged serial path, fault plan and
     /// checkpoints honored); `Some(profile)` runs the full thread world.
     /// With `opts.checkpoint_dir` set, ranks checkpoint every
     /// `config.checkpoint_every` steps and `opts.resume` restarts from the
-    /// newest complete checkpoint (cold start when none exists).
+    /// newest complete checkpoint (cold start when none exists). A mesh
+    /// that is not this simulation's is [`solver::SolverError::Refused`].
     pub fn try_run_with_mesh(
         &self,
         mesh: &GlobalMesh,
         opts: RunOptions<'_>,
     ) -> Result<SimulationResult, solver::SolverError> {
-        self.check_mesh_compatible(mesh, opts.profile.is_some());
-        self.try_run_inner(mesh, opts, None)
+        self.run_alone(mesh, opts, None)
     }
 
-    fn try_run_inner(
+    fn run_alone(
         &self,
         mesh: &GlobalMesh,
         opts: RunOptions<'_>,
         mesher_profile: Option<obs::RankProfile>,
     ) -> Result<SimulationResult, solver::SolverError> {
-        use specfem_mesh::LocalMesh;
-        use specfem_solver::checkpoint::{CheckpointSink, CheckpointState};
+        run_group(&[self], mesh, opts, mesher_profile)
+            .and_then(|mut lanes| lanes.pop().expect("one lane in, one outcome out"))
+            .map_err(|failure| failure.error)
+    }
 
-        let store = match opts.checkpoint_dir {
-            Some(dir) => Some(
-                specfem_io::CheckpointStore::new(dir).map_err(solver::SolverError::Checkpoint)?,
-            ),
-            None => None,
-        };
-        let sink_factory;
-        let restore_fn;
-        // Journals deposited by each rank thread (success and failure
-        // exits both) — the raw material of a crash dossier.
-        let journals: std::sync::Mutex<Vec<obs::FlightJournal>> = std::sync::Mutex::new(Vec::new());
-        let deposit = |j: obs::FlightJournal| journals.lock().unwrap().push(j);
-        let mut ft = solver::FtOptions::default();
-        if self.config.flight_recorder {
-            ft.flight = Some(&deposit);
-        }
-        if let Some(store) = &store {
-            store.set_keep(self.config.checkpoint_keep);
-            if let Some(plan) = &self.config.fault_plan {
-                store.set_fault_plan(plan.clone());
-            }
-            sink_factory = move |rank: usize| -> Box<dyn CheckpointSink> { store.sink(rank) };
-            ft.sink_factory = Some(&sink_factory);
-            if opts.resume {
-                // The store scatters merged global state onto whatever
-                // decomposition this run uses — the checkpoint's writer
-                // world size does not have to match ours (elastic resume).
-                restore_fn =
-                    move |rank: usize, local: &LocalMesh| store.restore_latest_for(rank, local);
-                ft.restore = Some(
-                    &restore_fn
-                        as &(dyn Fn(
-                            usize,
-                            &LocalMesh,
-                        )
-                            -> Result<Option<CheckpointState>, solver::CheckpointError>
-                              + Sync),
-                );
-            }
-        }
-        type RunOut = Result<(Vec<RankResult>, Option<comm::WatchdogReport>), solver::SolverError>;
-        let run_out: RunOut = match opts.profile {
-            None => specfem_solver::try_run_serial(mesh, &self.config, &self.stations, ft)
-                .map(|r| (vec![r], None)),
-            Some(profile) => {
-                let (per_rank, watchdog) = match opts.world {
-                    // Elastic world override: a balanced contiguous
-                    // partition works for any rank count, not just the
-                    // mesher's native 6·NPROC² decomposition.
-                    Some(world) => {
-                        let partition = Partition::balanced(mesh, world.max(1));
-                        specfem_solver::try_run_partitioned(
-                            mesh,
-                            &self.config,
-                            &self.stations,
-                            profile,
-                            ft,
-                            &partition,
-                        )
-                    }
-                    None => specfem_solver::try_run_distributed_watched(
-                        mesh,
-                        &self.config,
-                        &self.stations,
-                        profile,
-                        ft,
-                    ),
-                };
-                // One incident can surface differently on each rank: the
-                // killed rank sees `RankDead`, its peers see
-                // `Disconnected`/`Timeout`. Keep the most *specific*
-                // error (rank order breaks ties) — that is the one the
-                // crash dossier is classified from. The world is already
-                // joined, so every surviving rank has deposited its
-                // journal by now.
-                let mut ranks = Vec::with_capacity(per_rank.len());
-                let mut primary: Option<solver::SolverError> = None;
-                for r in per_rank {
-                    match r {
-                        Ok(v) => ranks.push(v),
-                        Err(e) => {
-                            if primary
-                                .as_ref()
-                                .is_none_or(|p| error_salience(&e) > error_salience(p))
-                            {
-                                primary = Some(e);
-                            }
-                        }
-                    }
-                }
-                match primary {
-                    Some(e) => Err(e),
-                    None => Ok((ranks, watchdog)),
-                }
-            }
-        };
-        let (ranks, watchdog) = match run_out {
-            Ok(v) => v,
-            Err(e) => {
-                // One merged crash dossier per incident — the run's
-                // primary typed failure, with every harvested journal.
-                if self.config.flight_recorder {
-                    let world = match opts.profile {
-                        None => 1,
-                        Some(_) => opts
-                            .world
-                            .map(|w| w.max(1))
-                            .unwrap_or_else(|| self.params.num_ranks()),
-                    };
-                    let harvested = std::mem::take(&mut *journals.lock().unwrap());
-                    let dest = opts
-                        .dossier_dir
-                        .or(opts.checkpoint_dir)
-                        .or(self.config.trace_dir.as_deref());
-                    if let Some(dir) = dest {
-                        let incident = classify_incident(&e, world, self.config.trace_id);
-                        match specfem_io::write_crash_dossier(dir, &incident, &harvested) {
-                            Ok(path) => {
-                                obs::global_counter_add("dossier.written", 1);
-                                eprintln!("crash dossier written: {}", path.display());
-                            }
-                            Err(we) => eprintln!("crash dossier write failed: {we}"),
-                        }
-                    }
-                }
-                return Err(e);
-            }
-        };
-        Ok(SimulationResult::from_ranks(
-            ranks,
-            mesher_profile,
-            watchdog,
-            &self.config,
-        ))
+    fn build_and_run(&self, opts: RunOptions<'_>) -> Result<SimulationResult, solver::SolverError> {
+        let (mesh, mesher_profile) = self.build_mesh();
+        self.run_alone(&mesh, opts, mesher_profile)
     }
 
     /// Fault-tolerant parallel run: every rank writes a checkpoint to
@@ -672,7 +509,11 @@ impl Simulation {
         profile: NetworkProfile,
         checkpoint_dir: &std::path::Path,
     ) -> Result<SimulationResult, solver::SolverError> {
-        self.run_fault_tolerant(profile, checkpoint_dir, false)
+        self.build_and_run(RunOptions {
+            profile: Some(profile),
+            checkpoint_dir: Some(checkpoint_dir),
+            ..RunOptions::default()
+        })
     }
 
     /// Resume an interrupted run from the newest *complete* checkpoint in
@@ -686,7 +527,12 @@ impl Simulation {
         profile: NetworkProfile,
         checkpoint_dir: &std::path::Path,
     ) -> Result<SimulationResult, solver::SolverError> {
-        self.run_fault_tolerant(profile, checkpoint_dir, true)
+        self.build_and_run(RunOptions {
+            profile: Some(profile),
+            checkpoint_dir: Some(checkpoint_dir),
+            resume: true,
+            ..RunOptions::default()
+        })
     }
 
     /// [`Simulation::resume_from_checkpoint`] at a *different* world size:
@@ -700,38 +546,280 @@ impl Simulation {
         checkpoint_dir: &std::path::Path,
         world: usize,
     ) -> Result<SimulationResult, solver::SolverError> {
-        let (mesh, mesher_profile) = self.build_mesh();
-        self.try_run_inner(
-            &mesh,
-            RunOptions {
-                profile: Some(profile),
-                checkpoint_dir: Some(checkpoint_dir),
-                resume: true,
-                world: Some(world),
-                dossier_dir: None,
-            },
-            mesher_profile,
-        )
+        self.build_and_run(RunOptions {
+            profile: Some(profile),
+            checkpoint_dir: Some(checkpoint_dir),
+            resume: true,
+            world: Some(world),
+            ..RunOptions::default()
+        })
     }
+}
 
-    fn run_fault_tolerant(
-        &self,
-        profile: NetworkProfile,
-        checkpoint_dir: &std::path::Path,
-        resume: bool,
-    ) -> Result<SimulationResult, solver::SolverError> {
-        let (mesh, mesher_profile) = self.build_mesh();
-        self.try_run_inner(
-            &mesh,
-            RunOptions {
-                profile: Some(profile),
-                checkpoint_dir: Some(checkpoint_dir),
-                resume,
-                world: None,
-                dossier_dir: None,
-            },
-            mesher_profile,
-        )
+/// The panicking convenience wrappers' view of a run: any failure aborts.
+fn expect_run(run: Result<SimulationResult, solver::SolverError>) -> SimulationResult {
+    run.unwrap_or_else(|e| match e {
+        solver::SolverError::Refused(why) => panic!("{why}"),
+        e => panic!("solver rank failed: {e}"),
+    })
+}
+
+/// A caller-supplied mesh that is not the mesh a simulation would build
+/// (the driver reports it as [`solver::SolverError::Refused`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct MeshMismatch {
+    /// Whether the full mesh key (decomposition included) was compared —
+    /// the distributed paths — or only the geometry (the serial path).
+    distributed: bool,
+    /// Fingerprint (full or geometry) of the supplied mesh.
+    mesh: u64,
+    /// The same fingerprint of the mesh the simulation would build.
+    simulation: u64,
+}
+
+impl std::fmt::Display for MeshMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Self {
+            mesh, simulation, ..
+        } = self;
+        if self.distributed {
+            write!(
+                f,
+                "mesh/simulation mismatch: the supplied mesh was built for different \
+                 parameters or decomposition (mesh key {mesh:016x} vs simulation key \
+                 {simulation:016x})"
+            )
+        } else {
+            write!(
+                f,
+                "mesh/simulation mismatch: the supplied mesh has different geometry \
+                 (mesh geometry {mesh:016x} vs simulation geometry {simulation:016x})"
+            )
+        }
+    }
+}
+
+/// A failed run, or one failed lane of a run whose siblings completed: the
+/// typed error plus the crash dossier written for the incident (`None`
+/// unless `config.flight_recorder` was armed and a dossier directory was
+/// resolvable — see [`RunOptions::dossier_dir`]).
+#[derive(Debug)]
+pub struct RunFailure {
+    /// The incident's primary typed error.
+    pub error: solver::SolverError,
+    /// Where the incident's crash dossier was written.
+    pub dossier: Option<std::path::PathBuf>,
+}
+
+/// The run driver, written once for any lane count: run `sims` — one
+/// simulation, or up to [`kernels::MAX_BATCH_LANES`] sharing one
+/// [`batch::batch_compat_key`] — against a prebuilt `mesh` as the lanes of a
+/// single solve. A plain run is the one-lane group
+/// ([`Simulation::try_run_with_mesh`]). `opts.profile = None` solves on one
+/// in-process rank; `Some(profile)` runs the thread world (the native
+/// `6 × NPROC_XI²` decomposition, or `opts.world` balanced slices).
+///
+/// Returns one entry per input simulation, in order: the lane's
+/// [`SimulationResult`] — bit-identical to what the simulation's own
+/// one-lane run produces, carrying its own `trace_id` — or the
+/// [`solver::SolverError::Health`] that poisoned that lane while its
+/// siblings completed. A failure of the solve as a whole (comm error, dead
+/// rank, checkpoint store, every lane poisoned, a refused mesh or lane
+/// mix) is the outer `Err`, classified from the most specific error any
+/// rank reported. Either kind of failure writes exactly one crash dossier
+/// when the flight recorder is armed.
+///
+/// Accounting follows [`solver::LaneResult`]: what the fused loop
+/// physically shares (communication and flop counters) is reported on the
+/// first healthy lane's `RankResult`s only, so summing telemetry across
+/// the returned results never double-counts; wall time, the traced rank
+/// profile, `mesher_profile` and the watchdog report describe the whole
+/// solve and appear on every lane.
+pub fn run_group(
+    sims: &[&Simulation],
+    mesh: &GlobalMesh,
+    opts: RunOptions<'_>,
+    mesher_profile: Option<obs::RankProfile>,
+) -> Result<Vec<Result<SimulationResult, RunFailure>>, RunFailure> {
+    use solver::SolverError;
+    use specfem_mesh::LocalMesh;
+    use specfem_solver::checkpoint::CheckpointSink;
+
+    let fail = |error: SolverError| RunFailure {
+        error,
+        dossier: None,
+    };
+    let refuse = |why: String| fail(SolverError::Refused(why));
+    let lead = *sims.first().ok_or_else(|| refuse("empty group".into()))?;
+    if sims.len() > kernels::MAX_BATCH_LANES {
+        return Err(refuse(format!(
+            "group of {} lanes exceeds MAX_BATCH_LANES = {}",
+            sims.len(),
+            kernels::MAX_BATCH_LANES
+        )));
+    }
+    let lead_key = batch::batch_compat_key(lead);
+    for (i, sim) in sims.iter().enumerate() {
+        sim.check_mesh_compatible(mesh, opts.profile.is_some())
+            .map_err(|m| refuse(m.to_string()))?;
+        if sims.len() > 1 && (lead_key.is_none() || batch::batch_compat_key(sim) != lead_key) {
+            return Err(refuse(format!(
+                "'{}' cannot share one time loop with lane 0: not batchable, or a \
+                 different batch-compat key",
+                lane_name(sim, i)
+            )));
+        }
+    }
+    // The compat key pins every shared knob, so lane 0's config
+    // legitimately drives the fused loop.
+    let config = &lead.config;
+    let lanes: Vec<solver::EventLane> = sims
+        .iter()
+        .enumerate()
+        .map(|(i, sim)| solver::EventLane {
+            name: lane_name(sim, i),
+            source: sim.config.source.clone(),
+            stations: sim.stations.clone(),
+        })
+        .collect();
+
+    let store = opts
+        .checkpoint_dir
+        .map(specfem_io::CheckpointStore::new)
+        .transpose()
+        .map_err(|e| fail(SolverError::Checkpoint(e)))?;
+    let sink_factory;
+    let restore_fn;
+    // Journals deposited by each rank thread (success and failure exits
+    // both) — the raw material of a crash dossier.
+    let journals: std::sync::Mutex<Vec<obs::FlightJournal>> = std::sync::Mutex::new(Vec::new());
+    let deposit = |j: obs::FlightJournal| journals.lock().unwrap().push(j);
+    let mut ft = solver::FtOptions::default();
+    if config.flight_recorder {
+        ft.flight = Some(&deposit);
+    }
+    if let Some(store) = &store {
+        store.set_keep(config.checkpoint_keep);
+        if let Some(plan) = &config.fault_plan {
+            store.set_fault_plan(plan.clone());
+        }
+        sink_factory = move |rank: usize| -> Box<dyn CheckpointSink> { store.sink(rank) };
+        ft.sink_factory = Some(&sink_factory);
+        if opts.resume {
+            // The store scatters merged global state onto whatever
+            // decomposition this run uses — the checkpoint's writer
+            // world size does not have to match ours (elastic resume).
+            restore_fn =
+                move |rank: usize, local: &LocalMesh| store.restore_latest_for(rank, local);
+            ft.restore = Some(&restore_fn);
+        }
+    }
+    let (per_rank, watchdog) = match opts.profile {
+        None => (
+            vec![specfem_solver::try_run_serial_lanes(
+                mesh, config, &lanes, ft, false,
+            )],
+            None,
+        ),
+        Some(profile) => {
+            let partition = match opts.world {
+                // Elastic world override: a balanced contiguous partition
+                // works for any rank count, not just the mesher's native
+                // 6·NPROC² decomposition.
+                Some(world) => Partition::balanced(mesh, world.max(1)),
+                None => Partition::compute(mesh),
+            };
+            specfem_solver::try_run_partitioned_lanes(
+                mesh, config, &lanes, profile, ft, &partition, false,
+            )
+        }
+    };
+    // The world is joined, so every surviving rank has deposited its
+    // journal by now.
+    let world = per_rank.len();
+    let harvested = std::mem::take(&mut *journals.lock().unwrap());
+    // One merged crash dossier per incident — its primary typed failure,
+    // with every harvested journal.
+    let failure = |error: SolverError, trace_id: Option<obs::TraceId>| {
+        let dir = opts
+            .dossier_dir
+            .or(opts.checkpoint_dir)
+            .or(config.trace_dir.as_deref())
+            .filter(|_| config.flight_recorder);
+        let dossier = dir.and_then(|dir| {
+            let incident = classify_incident(&error, world, trace_id);
+            match specfem_io::write_crash_dossier(dir, &incident, &harvested) {
+                Ok(path) => {
+                    obs::global_counter_add("dossier.written", 1);
+                    eprintln!("crash dossier written: {}", path.display());
+                    Some(path)
+                }
+                Err(we) => {
+                    eprintln!("crash dossier write failed: {we}");
+                    None
+                }
+            }
+        });
+        RunFailure { error, dossier }
+    };
+
+    // Transpose rank-major lane outcomes into one result per lane; a
+    // health trip on any rank fails the lane (and only it). One incident
+    // can surface differently on each rank: the killed rank sees
+    // `RankDead`, its peers see `Disconnected`/`Timeout`. Keep the most
+    // *specific* error (rank order breaks ties) — that is the one the
+    // crash dossier is classified from.
+    let mut primary: Option<SolverError> = None;
+    let mut per_lane: Vec<Result<Vec<RankResult>, SolverError>> =
+        sims.iter().map(|_| Ok(Vec::new())).collect();
+    for rank in per_rank {
+        match rank {
+            Ok(lane_results) => {
+                for (slot, lane) in per_lane.iter_mut().zip(lane_results) {
+                    match (slot.as_mut(), lane) {
+                        (Ok(ranks), Ok(r)) => ranks.push(r),
+                        (Ok(_), Err(report)) => *slot = Err(SolverError::Health(report)),
+                        (Err(_), _) => {}
+                    }
+                }
+            }
+            Err(e) => {
+                if primary
+                    .as_ref()
+                    .is_none_or(|p| error_salience(&e) > error_salience(p))
+                {
+                    primary = Some(e);
+                }
+            }
+        }
+    }
+    if let Some(e) = primary {
+        return Err(failure(e, config.trace_id));
+    }
+    Ok(per_lane
+        .into_iter()
+        .zip(sims)
+        .map(|(ranks, sim)| {
+            // Each lane keeps its *own* correlation id — the fused loop
+            // shares physics knobs across lanes, but tracing identity
+            // stays per-event.
+            let trace_id = sim.config.trace_id;
+            let mut ranks = ranks.map_err(|e| failure(e, trace_id))?;
+            ranks.iter_mut().for_each(|r| r.trace_id = trace_id);
+            Ok(SimulationResult::from_ranks(
+                ranks,
+                mesher_profile.clone(),
+                watchdog.clone(),
+                &sim.config,
+            ))
+        })
+        .collect())
+}
+
+fn lane_name(sim: &Simulation, index: usize) -> String {
+    match &sim.config.source {
+        SourceSpec::Cmt { event, .. } => event.name.clone(),
+        _ => format!("lane-{index}"),
     }
 }
 
@@ -748,6 +836,8 @@ fn error_salience(e: &solver::SolverError) -> u8 {
         E::Comm(comm::CommError::Stalled { .. }) => 3,
         E::Checkpoint(_) => 2,
         E::Comm(_) => 1,
+        // Raised by the driver before any rank starts, never by a rank.
+        E::Refused(_) => 0,
     }
 }
 
@@ -770,6 +860,7 @@ fn classify_incident(
         E::RankPanicked { rank, .. } => ("rank_dead", Some(*rank as u64), None),
         E::Checkpoint(_) => ("artifact", None, None),
         E::Comm(_) => ("comm", None, None),
+        E::Refused(_) => ("refused", None, None),
     };
     io::DossierIncident {
         class: class.to_string(),
@@ -942,7 +1033,8 @@ fn hash_source(h: &mut ResultFnv, source: &SourceSpec) {
     }
 }
 
-/// Options for [`Simulation::try_run_with_mesh`].
+/// Options for [`run_group`] and its one-lane case,
+/// [`Simulation::try_run_with_mesh`].
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions<'a> {
     /// Network model for a distributed thread-world run; `None` runs the
@@ -1365,6 +1457,68 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), variants.len() + 1, "result keys collided");
+    }
+
+    /// The serial comparison is geometry-only, the distributed one the
+    /// full key; a wrong mesh is a typed refusal for any lane count.
+    #[test]
+    fn wrong_mesh_is_refused_for_any_lane_count() {
+        use solver::SolverError;
+        let small = || keyed_sim().resolution(4).steps(3);
+        let sim = small().build().unwrap();
+        let mate = small().catalogue_event("sumatra_thrust").build().unwrap();
+        let (own, _) = sim.build_mesh();
+        let (other_geometry, _) = small().resolution(6).build().unwrap().build_mesh();
+        let (other_decomposition, _) = small().processors(2).build().unwrap().build_mesh();
+
+        assert_eq!(sim.check_mesh_compatible(&own, true), Ok(()));
+        assert_eq!(
+            sim.check_mesh_compatible(&other_decomposition, false),
+            Ok(())
+        );
+        let m = sim
+            .check_mesh_compatible(&other_decomposition, true)
+            .unwrap_err();
+        assert!(m.distributed && m.mesh != m.simulation, "{m:?}");
+        let m = sim
+            .check_mesh_compatible(&other_geometry, false)
+            .unwrap_err();
+        assert!(!m.distributed && m.mesh != m.simulation, "{m:?}");
+
+        let distributed = || RunOptions {
+            profile: Some(NetworkProfile::loopback()),
+            ..RunOptions::default()
+        };
+        for group in [vec![&sim], vec![&sim, &mate]] {
+            let refused = |mesh: &GlobalMesh, opts: RunOptions<'_>, what: &str| match run_group(
+                &group, mesh, opts, None,
+            ) {
+                Err(RunFailure {
+                    error: SolverError::Refused(why),
+                    dossier: None,
+                }) => assert!(why.contains(what), "{why}"),
+                other => panic!("expected a refusal, got {other:?}"),
+            };
+            refused(&other_geometry, RunOptions::default(), "different geometry");
+            refused(&other_geometry, distributed(), "decomposition");
+            refused(&other_decomposition, distributed(), "decomposition");
+            // The serial path ignores the decomposition knobs.
+            let lanes = run_group(&group, &other_decomposition, RunOptions::default(), None)
+                .expect("same geometry runs serially");
+            assert!(lanes.iter().all(|lane| lane.is_ok()));
+        }
+        assert!(matches!(
+            sim.try_run_with_mesh(&other_geometry, RunOptions::default()),
+            Err(SolverError::Refused(_))
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "mesh/simulation mismatch: the supplied mesh has different geometry")]
+    fn panicking_wrappers_keep_the_mismatch_message() {
+        let sim = keyed_sim().resolution(4).build().unwrap();
+        let (other, _) = keyed_sim().resolution(6).build().unwrap().build_mesh();
+        sim.run_serial_with_mesh(&other);
     }
 
     /// Flip every `SolverConfig` field and pin which key must move.

@@ -85,8 +85,8 @@ pub struct CampaignKnobs {
     /// default) = unbounded. Accepts `K`/`M`/`G` suffixes.
     pub mesh_cache_bytes: usize,
     /// `BATCH_MAX_LANES`: maximum events fused into one batched solve.
-    /// 1 (the default) keeps batching off — every job runs on the
-    /// single-lane path, untouched. Capped at
+    /// 1 (the default) keeps fusing off — every job runs as a group of
+    /// one. Capped at
     /// `specfem_kernels::MAX_BATCH_LANES`.
     pub batch_max_lanes: usize,
     /// `BATCH_WINDOW_MS`: how long a worker holding one batchable job

@@ -206,13 +206,15 @@ fn batched_daemon_answers_each_event_bit_identical_to_serial() {
                 assert_eq!(status, 200, "{reply}");
                 let (cache, bits) = response_bits(&reply);
                 assert_eq!(cache, "miss");
-                bits
+                let v: Value = serde_json::from_str(&reply).unwrap();
+                let trace_id = v.get("trace_id").unwrap().as_str().unwrap().to_string();
+                (bits, trace_id)
             })
         })
         .into_iter()
         .collect();
     let answers: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-    for (event, got) in events.iter().zip(&answers) {
+    for (event, (got, _)) in events.iter().zip(&answers) {
         assert_eq!(
             got,
             &event_bits(event),
@@ -220,6 +222,25 @@ fn batched_daemon_answers_each_event_bit_identical_to_serial() {
         );
     }
     assert_eq!(health_solves(addr), 3, "every lane counts as one solve");
+
+    // A fused lane keeps its own request's identity: its row in `/jobs`
+    // and its stitched timeline are found under the id its reply carried.
+    let (status, jobs) = client::get(addr, "/jobs").unwrap();
+    assert_eq!(status, 200, "{jobs}");
+    let v: Value = serde_json::from_str(&jobs).unwrap();
+    let rows = v.get("jobs").unwrap().as_array().unwrap();
+    for (event, (_, trace_id)) in events.iter().zip(&answers) {
+        assert!(
+            rows.iter()
+                .any(|r| r.get("trace_id").and_then(|t| t.as_str()) == Some(trace_id.as_str())),
+            "{event}: no /jobs row under trace id {trace_id}: {jobs}"
+        );
+        let (status, timeline) = client::get(addr, &format!("/trace/{trace_id}")).unwrap();
+        assert_eq!(status, 200, "{event}: {timeline}");
+        let v: Value = serde_json::from_str(&timeline).expect("timeline is valid JSON");
+        assert!(!v.get("traceEvents").unwrap().as_array().unwrap().is_empty());
+        assert!(timeline.contains(trace_id.as_str()), "{timeline}");
+    }
 
     // Warm repeats hit the cache under the lane's own result key.
     for event in events {

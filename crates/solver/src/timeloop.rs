@@ -54,6 +54,11 @@ pub enum SolverError {
         /// Best-effort panic message.
         message: String,
     },
+    /// The run was refused before any rank started: the supplied mesh is
+    /// not the one the simulation describes, or the lanes of a group
+    /// cannot share one time loop. Deterministic — the same call fails
+    /// the same way again.
+    Refused(String),
 }
 
 impl fmt::Display for SolverError {
@@ -65,6 +70,7 @@ impl fmt::Display for SolverError {
             SolverError::RankPanicked { rank, message } => {
                 write!(f, "rank {rank} panicked: {message}")
             }
+            SolverError::Refused(why) => write!(f, "{why}"),
         }
     }
 }
