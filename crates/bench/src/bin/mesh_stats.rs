@@ -1,9 +1,11 @@
 //! §4 memory sizing: "the mesher and solver would each require at least
 //! 37 TBs … around 62K cores having around 1.85 GB of memory per core" —
-//! mesh statistics at laptop scale plus the extrapolated sizing.
+//! mesh statistics at laptop scale plus the extrapolated sizing, and the
+//! seconds each set-up phase (mesher phases, serial extraction) took.
 
-use specfem_bench::prem_mesh;
+use specfem_bench::{prem_mesh, timed};
 use specfem_mesh::report::{estimate_global_solver_bytes, MeshStatistics};
+use specfem_mesh::Partition;
 
 fn main() {
     println!("== Mesh statistics and the §4 memory sizing ==");
@@ -24,6 +26,12 @@ fn main() {
         println!(
             "       regions: crust-mantle {}, outer core {}, inner core {}, cube {}",
             stats.elements[0], stats.elements[1], stats.elements[2], stats.elements[3]
+        );
+        let (_, extract_s) = timed(|| Partition::serial(&mesh).extract(&mesh, 0));
+        let r = &mesh.report;
+        println!(
+            "       set-up: geometry {:.3} s, materials {:.3} s, numbering {:.3} s, serial extract {extract_s:.3} s",
+            r.geometry_seconds, r.material_seconds, r.numbering_seconds
         );
     }
 

@@ -136,6 +136,25 @@ impl Inner {
     }
 }
 
+/// One worker's claim on the in-flight build of `key`. Dropping it —
+/// normally or while unwinding — releases the slot and wakes the waiters,
+/// who find the mesh resident or take over the build.
+struct BuildClaim<'a> {
+    cache: &'a MeshCache,
+    key: &'a MeshKey,
+}
+
+impl Drop for BuildClaim<'_> {
+    fn drop(&mut self) {
+        // Removing a key leaves `Inner` valid at every step, so a poisoned
+        // lock is still safe to use (and `drop` must not panic).
+        let mut inner = self.cache.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.building.retain(|k| k != self.key);
+        drop(inner);
+        self.cache.cond.notify_all();
+    }
+}
+
 /// A concurrent, byte-budgeted, content-addressed cache of built meshes.
 pub struct MeshCache {
     inner: Mutex<Inner>,
@@ -238,7 +257,11 @@ impl MeshCache {
                 continue;
             }
             // Miss: claim the build slot, then enforce admission control.
+            // The claim is released on every way out of this function — a
+            // `build` that unwinds included, or the key would stay "being
+            // built" and its waiters asleep for ever.
             inner.building.push(key.clone());
+            let claim = BuildClaim { cache: self, key };
             while !inner.evict_idle_until(estimated_bytes, self.budget) {
                 if inner.entries.is_empty() {
                     break; // progress guarantee: oversized mesh, admit it
@@ -251,13 +274,13 @@ impl MeshCache {
             let bytes = mesh.approx_bytes();
             let mesh = Arc::new(mesh);
             let mut inner = self.inner.lock().unwrap();
-            inner.building.retain(|k| k != key);
             inner.insert(key.clone(), mesh.clone(), bytes);
             match outcome {
                 CacheOutcome::DiskHit => inner.stats.disk_hits += 1,
                 _ => inner.stats.misses += 1,
             }
-            self.cond.notify_all();
+            drop(inner);
+            drop(claim);
             return (mesh, outcome);
         }
     }
@@ -348,6 +371,55 @@ mod tests {
         // First key is gone: requesting it again is a fresh miss.
         assert!(!cache.contains_geometry(k1.geometry_fingerprint()));
         assert!(cache.contains_geometry(k2.geometry_fingerprint()));
+    }
+
+    /// A build that panics must give its slot back: the thread already
+    /// waiting on the key takes the build over, and a later request is
+    /// served — neither sleeps on a key nobody is building.
+    #[test]
+    fn panicking_build_releases_its_key() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let cache = Arc::new(MeshCache::new(0, None));
+        let (key, params) = build_params(4, 1);
+        let timeout = Duration::from_secs(120);
+        // The builder holds the slot until told to fail.
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (fail_tx, fail_rx) = mpsc::channel::<()>();
+        let builder = {
+            let (cache, key, params) = (cache.clone(), key.clone(), params.clone());
+            std::thread::spawn(move || {
+                cache.get_or_build(&key, &params, 0, || {
+                    entered_tx.send(()).unwrap();
+                    fail_rx.recv().unwrap();
+                    panic!("injected mesh-build failure")
+                })
+            })
+        };
+        entered_rx.recv_timeout(timeout).expect("builder never ran");
+        // A second request for the same key arrives while the slot is held.
+        let (done_tx, done_rx) = mpsc::channel();
+        let waiter = {
+            let (cache, key, params) = (cache.clone(), key.clone(), params.clone());
+            std::thread::spawn(move || {
+                let (_, outcome) = cache.get_or_build(&key, &params, 0, || build_mesh(&params));
+                done_tx.send(outcome).unwrap();
+            })
+        };
+        assert!(cache.contains_geometry(key.geometry_fingerprint()));
+        fail_tx.send(()).unwrap();
+        assert!(builder.join().is_err(), "the builder must have panicked");
+        // Whether the waiter was already asleep on the key or only arrives
+        // now, it must end up building the mesh itself.
+        let outcome = done_rx
+            .recv_timeout(timeout)
+            .expect("request hung on the key of a build that panicked");
+        assert_eq!(outcome, CacheOutcome::Miss);
+        waiter.join().unwrap();
+        let (_, again) = cache.get_or_build(&key, &params, 0, || panic!("must not rebuild"));
+        assert_eq!(again, CacheOutcome::Hit);
+        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]

@@ -718,8 +718,9 @@ fn run_group(shared: &Shared, worker: usize, group: Vec<QueuedJob>) -> Vec<JobOu
             queued,
         })
         .collect();
-    // Acquired inside the first attempt so a panicking mesh build is
-    // caught like any other; every member shares the lead's mesh key.
+    // Acquired inside an attempt so a panicking mesh build is caught —
+    // and retried — like any other failure; every member shares the
+    // lead's mesh key.
     let mut mesh: Option<(Arc<specfem_core::GlobalMesh>, CacheOutcome)> = None;
     let mut work = VecDeque::from([(0..members.len()).collect::<Vec<usize>>()]);
     while let Some(lanes) = work.pop_front() {
@@ -758,7 +759,11 @@ fn run_group(shared: &Shared, worker: usize, group: Vec<QueuedJob>) -> Vec<JobOu
                     &job.sim.mesh_key(),
                     &job.sim.params,
                     job.sim.estimated_mesh_bytes(),
-                    || job.sim.build_mesh().0,
+                    || {
+                        #[cfg(test)]
+                        tests::injected_build_failure(&job.name);
+                        job.sim.build_mesh().0
+                    },
                 )
             });
             let opts = RunOptions {
@@ -818,9 +823,7 @@ fn run_group(shared: &Shared, worker: usize, group: Vec<QueuedJob>) -> Vec<JobOu
             }
         }
         if let Some((message, failure)) = &whole {
-            // A panic before the mesh exists cannot be retried: the cache
-            // still holds the build slot.
-            let again = mesh.is_some() && (retries_left || fused);
+            let again = retries_left || fused;
             for &m in &lanes {
                 if members[m].failed(message.clone(), failure.as_ref(), again, &retry) {
                     work.push_back(vec![m]);
@@ -1141,6 +1144,55 @@ mod tests {
         let json = result.report.to_json();
         assert!(json.contains("\"health_trips\": 1"));
         assert!(json.contains("\"health_trip\""));
+    }
+
+    /// Jobs whose next mesh build panics, by name (each entry fires once).
+    static FAILING_BUILDS: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+    /// Test seam in `run_group`'s mesh builder.
+    pub(super) fn injected_build_failure(job: &str) {
+        let mut failing = FAILING_BUILDS.lock().unwrap();
+        if let Some(at) = failing.iter().position(|name| name == job) {
+            failing.remove(at);
+            drop(failing);
+            panic!("injected mesh-build failure");
+        }
+    }
+
+    #[test]
+    fn panicking_mesh_build_is_retried_like_any_other_failure() {
+        // The first build of the job's mesh panics. The cache must give the
+        // key back, the job must get its second attempt, and a neighbour
+        // asking for the same mesh must not sleep on the abandoned build.
+        FAILING_BUILDS.lock().unwrap().push("flaky-mesh".into());
+        let mut campaign = Campaign::new(CampaignConfig {
+            workers: 2,
+            retry: RetryPolicy {
+                max_retries: 1,
+                backoff: Duration::from_millis(1),
+                ..RetryPolicy::default()
+            },
+            ..CampaignConfig::default()
+        });
+        campaign.submit(Job::new("flaky-mesh", tiny_sim(4, 5, 0)));
+        campaign.submit(Job::new("neighbour", tiny_sim(4, 5, 1)));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done_tx.send(campaign.finish()).unwrap());
+        let result = done_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("campaign hung behind a mesh build that panicked");
+        assert!(result.all_ok(), "{:?}", result.report.to_json());
+        let flaky = result
+            .outcomes
+            .iter()
+            .find(|o| o.name == "flaky-mesh")
+            .unwrap();
+        assert_eq!(flaky.attempts, 2);
+        let cache = &result.report.cache;
+        assert_eq!(
+            cache.misses, 1,
+            "the mesh is built once, by whoever asks next"
+        );
     }
 
     #[test]

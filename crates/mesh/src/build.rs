@@ -202,6 +202,10 @@ impl GlobalMesh {
             }
         }
         let nspec = specs.len();
+        assert!(
+            u32::try_from(nspec).is_ok(),
+            "mesh has {nspec} elements: element ids are 32-bit"
+        );
         let mut report = MesherReport {
             passes: if params.legacy_two_pass_materials {
                 2
@@ -224,10 +228,15 @@ impl GlobalMesh {
 
         // ---- geometry pass ----------------------------------------------
         let span_geometry = specfem_obs::span("mesh.geometry");
-        let gen_nodes =
-            |spec: &ElementSpec| -> Vec<[f64; 3]> { element_nodes(spec, &lattice, &frac, a, beta) };
+        let gen_nodes = |spec: &ElementSpec, out: &mut Vec<[f64; 3]>| {
+            element_nodes(spec, &lattice, &frac, a, beta, out)
+        };
         let t0 = Instant::now();
-        let all_nodes: Vec<Vec<[f64; 3]>> = specs.par_iter().map(gen_nodes).collect();
+        // One `nspec·n³` buffer, element after element.
+        let mut all_nodes = Vec::with_capacity(nspec * n3);
+        for spec in &specs {
+            gen_nodes(spec, &mut all_nodes);
+        }
         report.geometry_seconds = t0.elapsed().as_secs_f64();
         drop(span_geometry);
 
@@ -240,14 +249,15 @@ impl GlobalMesh {
             specs
                 .par_iter()
                 .map(|spec| {
-                    let nodes = gen_nodes(spec);
+                    let mut nodes = Vec::with_capacity(n3);
+                    gen_nodes(spec, &mut nodes);
                     assign_materials(spec, &nodes, model)
                 })
                 .collect()
         } else {
             specs
                 .par_iter()
-                .zip(&all_nodes)
+                .zip(all_nodes.chunks_exact(n3))
                 .map(|(spec, nodes)| assign_materials(spec, nodes, model))
                 .collect()
         };
@@ -259,15 +269,9 @@ impl GlobalMesh {
         let t0 = Instant::now();
         // Tolerance far below the smallest GLL spacing: even a NEX=512 crust
         // layer has ~50 m spacing; roundoff differences are nanometres.
-        let mut registry = crate::numbering::PointRegistry::new(0.05);
-        let mut ibool = Vec::with_capacity(nspec * n3);
-        for nodes in &all_nodes {
-            for &p in nodes {
-                ibool.push(registry.get_or_insert(p));
-            }
-        }
-        let nglob = registry.len();
-        let coords = registry.into_coords();
+        let (ibool, coords) = crate::numbering::number_element_nodes(&all_nodes, np, 0.05);
+        drop(all_nodes);
+        let nglob = coords.len();
         report.numbering_seconds = t0.elapsed().as_secs_f64();
         drop(span_numbering);
 
@@ -330,16 +334,16 @@ fn ray_point(c: [f64; 3], r: f64) -> [f64; 3] {
     [r * c[0] / norm, r * c[1] / norm, r * c[2] / norm]
 }
 
-/// Generate the GLL nodal coordinates of one element.
+/// Append the GLL nodal coordinates of one element to `out`.
 fn element_nodes(
     spec: &ElementSpec,
     lattice: &[f64],
     frac: &[f64],
     a: f64,
     beta: f64,
-) -> Vec<[f64; 3]> {
+    out: &mut Vec<[f64; 3]>,
+) {
     let np = frac.len();
-    let mut out = Vec::with_capacity(np * np * np);
     match (spec.home, spec.radial) {
         (ElementHome::Cube { i, j, k }, RadialSpan::Cube) => {
             let (i, j, k) = (i as usize, j as usize, k as usize);
@@ -381,7 +385,6 @@ fn element_nodes(
         }
         _ => unreachable!("inconsistent element spec"),
     }
-    out
 }
 
 /// Sample the model at every GLL point of one element, staying on the

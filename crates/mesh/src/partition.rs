@@ -7,8 +7,6 @@
 //! §1 improvement ("reduction of the central cube bottleneck by cutting the
 //! cube in two").
 
-use std::collections::HashMap;
-
 use specfem_comm::{HaloPlan, Neighbor};
 
 use crate::build::{ElementHome, GlobalMesh};
@@ -116,62 +114,192 @@ impl Partition {
     /// the mesh parameters and building the halo plan.
     pub fn extract(&self, mesh: &GlobalMesh, rank: usize) -> LocalMesh {
         let _span = specfem_obs::span("mesh.extract");
+        Extractor::new(self, mesh).extract(rank)
+    }
+
+    /// Extract every rank's local mesh.
+    pub fn extract_all(&self, mesh: &GlobalMesh) -> Vec<LocalMesh> {
+        let _span = specfem_obs::span("mesh.extract");
+        let mut extractor = Extractor::new(self, mesh);
+        (0..self.num_ranks).map(|r| extractor.extract(r)).collect()
+    }
+}
+
+/// "No entry" in the dense id-indexed tables below.
+const NONE: u32 = u32::MAX;
+
+/// The ranks touching each global point, kept for the points touched by at
+/// least two — the halo. Rows of a CSR table, ranks ascending in each.
+struct SharedPoints {
+    /// Row of each global point, `NONE` for a point of a single rank.
+    row: Vec<u32>,
+    offsets: Vec<u32>,
+    ranks: Vec<u32>,
+}
+
+impl SharedPoints {
+    fn new(part: &Partition, mesh: &GlobalMesh) -> Self {
+        let n3 = mesh.points_per_element();
+        // First rank seen at each point, and every (point, other rank)
+        // incidence after it.
+        let mut first_rank = vec![NONE; mesh.nglob];
+        let mut others: Vec<(u32, u32)> = Vec::new();
+        for (element, &r) in mesh.ibool.chunks_exact(n3).zip(&part.rank_of) {
+            for &g in element {
+                let first = &mut first_rank[g as usize];
+                if *first == NONE {
+                    *first = r;
+                } else if *first != r {
+                    others.push((g, r));
+                }
+            }
+        }
+        others.sort_unstable();
+        others.dedup();
+        let mut shared = SharedPoints {
+            row: vec![NONE; mesh.nglob],
+            offsets: vec![0],
+            ranks: Vec::new(),
+        };
+        for group in others.chunk_by(|a, b| a.0 == b.0) {
+            let g = group[0].0 as usize;
+            shared.row[g] = (shared.offsets.len() - 1) as u32;
+            let start = shared.ranks.len();
+            shared.ranks.push(first_rank[g]);
+            shared.ranks.extend(group.iter().map(|&(_, r)| r));
+            shared.ranks[start..].sort_unstable();
+            shared.offsets.push(shared.ranks.len() as u32);
+        }
+        shared
+    }
+
+    /// The ranks touching point `g` if more than one does, else nothing.
+    fn ranks_of(&self, g: u32) -> &[u32] {
+        match self.row[g as usize] {
+            NONE => &[],
+            row => {
+                let row = row as usize;
+                &self.ranks[self.offsets[row] as usize..self.offsets[row + 1] as usize]
+            }
+        }
+    }
+}
+
+/// What every rank's extraction shares: the halo ownership table, computed
+/// once, and a dense global→local point map that each use leaves blank.
+struct Extractor<'a> {
+    part: &'a Partition,
+    mesh: &'a GlobalMesh,
+    shared: SharedPoints,
+    /// `NONE` everywhere between uses.
+    local_of_global: Vec<u32>,
+}
+
+impl<'a> Extractor<'a> {
+    fn new(part: &'a Partition, mesh: &'a GlobalMesh) -> Self {
+        Extractor {
+            part,
+            mesh,
+            shared: SharedPoints::new(part, mesh),
+            local_of_global: vec![NONE; mesh.nglob],
+        }
+    }
+
+    /// Number the points of `elements` locally by first touch: fills the
+    /// local connectivity and returns the global id of each local point.
+    fn number_points(&mut self, elements: &[u32], ibool: &mut Vec<u32>) -> Vec<u32> {
+        let n3 = self.mesh.points_per_element();
+        let mut global_ids = Vec::new();
+        for &ge in elements {
+            let base = ge as usize * n3;
+            for &g in &self.mesh.ibool[base..base + n3] {
+                let lid = &mut self.local_of_global[g as usize];
+                if *lid == NONE {
+                    *lid = global_ids.len() as u32;
+                    global_ids.push(g);
+                }
+                ibool.push(*lid);
+            }
+        }
+        for &g in &global_ids {
+            self.local_of_global[g as usize] = NONE;
+        }
+        global_ids
+    }
+
+    /// Adjacency among `elements` (by position in the slice) via shared
+    /// points: each list ascending, without duplicates.
+    fn adjacency(&mut self, elements: &[u32]) -> Vec<Vec<u32>> {
+        let n3 = self.mesh.points_per_element();
+        let mut ibool = Vec::with_capacity(elements.len() * n3);
+        let global_ids = self.number_points(elements, &mut ibool);
+        // Point → elements, as a CSR table filled by counting sort.
+        let mut offsets = vec![0u32; global_ids.len() + 1];
+        for &p in &ibool {
+            offsets[p as usize + 1] += 1;
+        }
+        for p in 0..global_ids.len() {
+            offsets[p + 1] += offsets[p];
+        }
+        let mut fill = offsets.clone();
+        let mut elems_of = vec![0u32; ibool.len()];
+        for (e, points) in ibool.chunks_exact(n3).enumerate() {
+            for &p in points {
+                elems_of[fill[p as usize] as usize] = e as u32;
+                fill[p as usize] += 1;
+            }
+        }
+        // `seen_by[b] == a`: b is already on a's list.
+        let mut seen_by = vec![NONE; elements.len()];
+        ibool
+            .chunks_exact(n3)
+            .enumerate()
+            .map(|(a, points)| {
+                let a = a as u32;
+                let mut neighbours = Vec::new();
+                for &p in points {
+                    let (lo, hi) = (offsets[p as usize], offsets[p as usize + 1]);
+                    for &b in &elems_of[lo as usize..hi as usize] {
+                        if b != a && seen_by[b as usize] != a {
+                            seen_by[b as usize] = a;
+                            neighbours.push(b);
+                        }
+                    }
+                }
+                neighbours.sort_unstable();
+                neighbours
+            })
+            .collect()
+    }
+
+    fn extract(&mut self, rank: usize) -> LocalMesh {
+        let mesh = self.mesh;
         let n3 = mesh.points_per_element();
         // ---- elements of this rank, natural order ------------------------
         let mine: Vec<u32> = (0..mesh.nspec as u32)
-            .filter(|&e| self.rank_of[e as usize] == rank as u32)
+            .filter(|&e| self.part.rank_of[e as usize] == rank as u32)
             .collect();
 
-        // ---- ownership map of global points (which ranks touch them) ----
-        let point_ranks = self.point_ranks(mesh);
-
         // ---- element ordering (paper §4.2) -------------------------------
-        // Build adjacency among this rank's elements via shared points.
-        let mut local_of_global_elem: HashMap<u32, u32> = HashMap::new();
-        for (le, &ge) in mine.iter().enumerate() {
-            local_of_global_elem.insert(ge, le as u32);
-        }
-        let mut point_elems: HashMap<u32, Vec<u32>> = HashMap::new();
-        for (le, &ge) in mine.iter().enumerate() {
-            let base = ge as usize * n3;
-            for &g in &mesh.ibool[base..base + n3] {
-                let v = point_elems.entry(g).or_default();
-                if v.last() != Some(&(le as u32)) {
-                    v.push(le as u32);
-                }
-            }
-        }
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); mine.len()];
-        for elems in point_elems.values() {
-            for (ai, &a) in elems.iter().enumerate() {
-                for &b in &elems[ai + 1..] {
-                    adj[a as usize].push(b);
-                    adj[b as usize].push(a);
-                }
-            }
-        }
-        for v in &mut adj {
-            v.sort_unstable();
-            v.dedup();
-        }
-        let perm = element_permutation(mesh.params.element_order, mine.len(), &adj);
+        let order = mesh.params.element_order;
+        let perm = element_permutation(order, mine.len(), &self.adjacency(&mine));
         let cm_ordered: Vec<u32> = perm.iter().map(|&le| mine[le as usize]).collect();
 
         // ---- outer/inner classification ----------------------------------
         // An element is *outer* iff any of its global points is shared with
-        // another rank (`point_ranks` stores exactly the multi-rank points).
-        // Stable-partition the ordering so outer elements come first: the
-        // solver can then compute `0..nspec_outer`, post the halo exchange,
-        // and fill `nspec_outer..nspec` while messages fly. The partition is
-        // stable, so within each class the Cuthill-McKee relative order (and
-        // thus cache behaviour) is preserved — and because the *blocking*
-        // path iterates the same ordering, per-point accumulation order is
-        // identical in both paths (the bit-identity requirement).
+        // another rank. Stable-partition the ordering so outer elements
+        // come first: the solver can then compute `0..nspec_outer`, post
+        // the halo exchange, and fill `nspec_outer..nspec` while messages
+        // fly. The partition is stable, so within each class the
+        // Cuthill-McKee relative order (and thus cache behaviour) is
+        // preserved — and because the *blocking* path iterates the same
+        // ordering, per-point accumulation order is identical in both paths
+        // (the bit-identity requirement).
         let is_outer = |ge: u32| {
             let base = ge as usize * n3;
             mesh.ibool[base..base + n3]
                 .iter()
-                .any(|g| point_ranks.contains_key(g))
+                .any(|&g| self.shared.row[g as usize] != NONE)
         };
         let (outer, inner): (Vec<u32>, Vec<u32>) = cm_ordered.iter().partition(|&&ge| is_outer(ge));
         let nspec_outer = outer.len();
@@ -179,30 +307,15 @@ impl Partition {
         ordered.extend_from_slice(&inner);
 
         // ---- local point numbering by first touch ------------------------
-        let mut local_of_global: HashMap<u32, u32> = HashMap::new();
-        let mut global_ids: Vec<u32> = Vec::new();
         let mut ibool = Vec::with_capacity(ordered.len() * n3);
-        let mut rho = Vec::with_capacity(ordered.len() * n3);
-        let mut kappa = Vec::with_capacity(ordered.len() * n3);
-        let mut mu = Vec::with_capacity(ordered.len() * n3);
-        let mut qmu = Vec::with_capacity(ordered.len() * n3);
-        let mut region = Vec::with_capacity(ordered.len());
-        for &ge in &ordered {
-            let base = ge as usize * n3;
-            region.push(mesh.region[ge as usize]);
-            for l in 0..n3 {
-                let g = mesh.ibool[base + l];
-                let lid = *local_of_global.entry(g).or_insert_with(|| {
-                    global_ids.push(g);
-                    (global_ids.len() - 1) as u32
-                });
-                ibool.push(lid);
-                rho.push(mesh.rho[base + l]);
-                kappa.push(mesh.kappa[base + l]);
-                mu.push(mesh.mu[base + l]);
-                qmu.push(mesh.qmu[base + l]);
+        let global_ids = self.number_points(&ordered, &mut ibool);
+        let gather = |field: &[f32]| -> Vec<f32> {
+            let mut out = Vec::with_capacity(ordered.len() * n3);
+            for &ge in &ordered {
+                out.extend_from_slice(&field[ge as usize * n3..(ge as usize + 1) * n3]);
             }
-        }
+            out
+        };
         let coords: Vec<[f64; 3]> = global_ids
             .iter()
             .map(|&g| mesh.coords[g as usize])
@@ -210,29 +323,24 @@ impl Partition {
 
         // ---- halo plan ----------------------------------------------------
         // For every local point shared with other ranks, record it under
-        // each other rank; point lists sorted by global id so both sides
-        // enumerate identically.
-        let mut per_neighbor: HashMap<u32, Vec<(u32, u32)>> = HashMap::new(); // rank → (gid, lid)
+        // each other rank; neighbours ascending by rank, and each one's
+        // points by global id so both sides enumerate identically.
+        let mut halo_points: Vec<(u32, u32, u32)> = Vec::new(); // (rank, gid, lid)
         for (lid, &g) in global_ids.iter().enumerate() {
-            if let Some(ranks) = point_ranks.get(&g) {
-                for &r in ranks {
-                    if r != rank as u32 {
-                        per_neighbor.entry(r).or_default().push((g, lid as u32));
-                    }
+            for &r in self.shared.ranks_of(g) {
+                if r != rank as u32 {
+                    halo_points.push((r, g, lid as u32));
                 }
             }
         }
-        let mut neighbors: Vec<Neighbor> = per_neighbor
-            .into_iter()
-            .map(|(r, mut pts)| {
-                pts.sort_unstable_by_key(|&(g, _)| g);
-                Neighbor {
-                    rank: r as usize,
-                    points: pts.into_iter().map(|(_, l)| l).collect(),
-                }
+        halo_points.sort_unstable();
+        let neighbors: Vec<Neighbor> = halo_points
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|of_rank| Neighbor {
+                rank: of_rank[0].0 as usize,
+                points: of_rank.iter().map(|&(_, _, lid)| lid).collect(),
             })
             .collect();
-        neighbors.sort_by_key(|n| n.rank);
         let halo = HaloPlan { neighbors };
         let nglob = global_ids.len();
         halo.validate(rank, nglob).expect("halo plan invalid");
@@ -245,46 +353,15 @@ impl Partition {
             nglob,
             ibool,
             coords,
+            region: ordered.iter().map(|&ge| mesh.region[ge as usize]).collect(),
+            rho: gather(&mesh.rho),
+            kappa: gather(&mesh.kappa),
+            mu: gather(&mesh.mu),
+            qmu: gather(&mesh.qmu),
             global_ids,
-            region,
             element_global: ordered,
-            rho,
-            kappa,
-            mu,
-            qmu,
             halo,
         }
-    }
-
-    /// Extract every rank's local mesh.
-    pub fn extract_all(&self, mesh: &GlobalMesh) -> Vec<LocalMesh> {
-        (0..self.num_ranks).map(|r| self.extract(mesh, r)).collect()
-    }
-
-    /// Map from global point id to the sorted list of ranks touching it —
-    /// only points touched by ≥ 2 ranks are stored.
-    fn point_ranks(&self, mesh: &GlobalMesh) -> HashMap<u32, Vec<u32>> {
-        let n3 = mesh.points_per_element();
-        let mut first_rank: Vec<u32> = vec![u32::MAX; mesh.nglob];
-        let mut multi: HashMap<u32, Vec<u32>> = HashMap::new();
-        for e in 0..mesh.nspec {
-            let r = self.rank_of[e];
-            for &g in &mesh.ibool[e * n3..(e + 1) * n3] {
-                let f = first_rank[g as usize];
-                if f == u32::MAX {
-                    first_rank[g as usize] = r;
-                } else if f != r {
-                    let v = multi.entry(g).or_insert_with(|| vec![f]);
-                    if !v.contains(&r) {
-                        v.push(r);
-                    }
-                }
-            }
-        }
-        for v in multi.values_mut() {
-            v.sort_unstable();
-        }
-        multi
     }
 }
 

@@ -680,8 +680,39 @@ impl Drop for ServerHandle {
     }
 }
 
+/// Make the cost of a solve independent of what the daemon solved before:
+/// pin glibc's mmap threshold at the 128 KiB it starts with.
+///
+/// Left alone, glibc raises that threshold (up to 32 MiB) the first time a
+/// large block is freed, and from then on carves a solve's 8–27 MB arrays
+/// out of whichever arena its worker thread was handed, reusing whatever
+/// earlier solves left there. One and the same cold NEX 12 request then
+/// page-faults anywhere between 35 k and 126 k pages — 0.95 to 1.12 s —
+/// depending on the daemon's allocation history. With the threshold pinned,
+/// every job-sized buffer is a mapping of its own, handed back to the OS
+/// when dropped: a request costs what it costs, and the resident set falls
+/// back to the caches after each solve. Returns whether the allocator took
+/// the setting (always `false` off glibc, where there is nothing to pin).
+fn pin_mmap_threshold() -> bool {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        use std::ffi::c_int;
+        extern "C" {
+            fn mallopt(param: c_int, value: c_int) -> c_int;
+        }
+        const M_MMAP_THRESHOLD: c_int = -3;
+        // SAFETY: `mallopt` is glibc's own tuning entry point, callable at
+        // any time from any thread; it takes its arguments by value and
+        // touches nothing but the allocator's settings under its lock.
+        unsafe { mallopt(M_MMAP_THRESHOLD, 128 * 1024) == 1 }
+    }
+    #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+    false
+}
+
 /// Bind, spawn the scheduler and accept threads, and return the handle.
 pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
+    pin_mmap_threshold();
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
@@ -915,5 +946,41 @@ pub mod client {
     /// `POST` a JSON body, returning `(status, body)`.
     pub fn post(addr: SocketAddr, path: &str, body: &str) -> Result<(u16, String), HttpError> {
         roundtrip(addr, "POST", path, body)
+    }
+}
+
+#[cfg(all(test, target_os = "linux", target_env = "gnu"))]
+mod tests {
+    use super::pin_mmap_threshold;
+
+    /// Minor page faults of the calling thread so far.
+    fn thread_faults() -> u64 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+        let after_name = &stat[stat.rfind(')').unwrap() + 2..];
+        after_name
+            .split_whitespace()
+            .nth(7)
+            .unwrap()
+            .parse()
+            .unwrap()
+    }
+
+    /// Allocate, touch and drop a buffer of a solve's size.
+    fn touch(megabytes: usize) {
+        std::hint::black_box(vec![1u8; megabytes << 20]);
+    }
+
+    #[test]
+    fn a_job_sized_buffer_costs_the_same_whatever_was_freed_before() {
+        assert!(pin_mmap_threshold());
+        // Unpinned, the first drop raises glibc's threshold to 16 MB, the
+        // 12 MB buffers come out of the arena, and the last one reuses the
+        // pages of the one before it without a single fault.
+        touch(16);
+        touch(12);
+        let before = thread_faults();
+        touch(12);
+        // A fresh mapping: 3072 small pages, or 6 huge ones.
+        assert!(thread_faults() - before >= 6);
     }
 }
