@@ -280,13 +280,16 @@ impl<C: Communicator> FaultyComm<C> {
         self.inner
     }
 
-    fn dead_error(&self) -> Option<CommError> {
-        self.fault_stats
-            .died_at_step
-            .map(|step| CommError::RankDead {
+    /// `Err(RankDead)` from the step this rank died at on, checked at
+    /// every entry point.
+    fn alive(&self) -> Result<(), CommError> {
+        match self.fault_stats.died_at_step {
+            Some(step) => Err(CommError::RankDead {
                 rank: self.inner.rank(),
                 step,
-            })
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Decide what happens to one outgoing message: `None` = drop it,
@@ -334,116 +337,47 @@ impl<C: Communicator> Communicator for FaultyComm<C> {
         self.inner.size()
     }
 
-    fn send_f32(&mut self, dest: usize, tag: u32, data: &[f32]) -> Result<(), CommError> {
-        if let Some(e) = self.dead_error() {
-            return Err(e);
+    fn isend_f32(&mut self, dest: usize, tag: u32, mut data: Vec<f32>) -> Result<(), CommError> {
+        // Post-time fault site, the only place a payload leaves the rank: a
+        // dead rank cannot post, and active drop/delay/corrupt faults hit
+        // the outgoing message.
+        self.alive()?;
+        let Some((delay, corrupt)) = self.outgoing_action() else {
+            return Ok(()); // dropped on the (virtual) wire
+        };
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
         }
-        match self.outgoing_action() {
-            None => Ok(()), // dropped on the (virtual) wire
-            Some((delay, corrupt)) => {
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                if corrupt {
-                    let mut bad = data.to_vec();
-                    if !bad.is_empty() {
-                        // Flip a mantissa+sign bit pattern in one element —
-                        // deterministic position from the PRNG.
-                        let idx = (self.rng.next_u64() as usize) % bad.len();
-                        bad[idx] = f32::from_bits(bad[idx].to_bits() ^ 0x8040_0001);
-                    }
-                    self.inner.send_f32(dest, tag, &bad)
-                } else {
-                    self.inner.send_f32(dest, tag, data)
-                }
-            }
+        if corrupt && !data.is_empty() {
+            // Flip a mantissa+sign bit pattern in one element —
+            // deterministic position from the PRNG.
+            let idx = (self.rng.next_u64() as usize) % data.len();
+            data[idx] = f32::from_bits(data[idx].to_bits() ^ 0x8040_0001);
         }
-    }
-
-    fn recv_f32(&mut self, src: usize, tag: u32) -> Result<Vec<f32>, CommError> {
-        if let Some(e) = self.dead_error() {
-            return Err(e);
-        }
-        self.inner.recv_f32(src, tag)
-    }
-
-    fn isend_f32(&mut self, dest: usize, tag: u32, data: &[f32]) -> Result<Request, CommError> {
-        // Post-time fault site: a dead rank cannot post, and active
-        // drop/delay/corrupt faults hit the outgoing payload exactly as
-        // they do on the blocking path.
-        if let Some(e) = self.dead_error() {
-            return Err(e);
-        }
-        match self.outgoing_action() {
-            None => Ok(Request::send(dest, tag)), // dropped on the wire
-            Some((delay, corrupt)) => {
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                if corrupt {
-                    let mut bad = data.to_vec();
-                    if !bad.is_empty() {
-                        let idx = (self.rng.next_u64() as usize) % bad.len();
-                        bad[idx] = f32::from_bits(bad[idx].to_bits() ^ 0x8040_0001);
-                    }
-                    self.inner.isend_f32(dest, tag, &bad)
-                } else {
-                    self.inner.isend_f32(dest, tag, data)
-                }
-            }
-        }
+        self.inner.isend_f32(dest, tag, data)
     }
 
     fn irecv_f32(&mut self, src: usize, tag: u32) -> Result<Request, CommError> {
-        if let Some(e) = self.dead_error() {
-            return Err(e);
-        }
+        self.alive()?;
         self.inner.irecv_f32(src, tag)
     }
 
-    fn wait(&mut self, req: Request) -> Result<Option<Vec<f32>>, CommError> {
+    fn wait(&mut self, req: Request) -> Result<Vec<f32>, CommError> {
         // Wait-time fault site: a rank killed *between* post and wait (the
         // overlap window is where deaths land in practice) surfaces the
         // typed error here instead of hanging on the inner receive.
-        if let Some(e) = self.dead_error() {
-            return Err(e);
-        }
+        self.alive()?;
         self.inner.wait(req)
     }
 
-    fn wait_all(&mut self, reqs: Vec<Request>) -> Result<Vec<Option<Vec<f32>>>, CommError> {
-        if let Some(e) = self.dead_error() {
-            return Err(e);
-        }
-        self.inner.wait_all(reqs)
-    }
-
     fn barrier(&mut self) -> Result<(), CommError> {
-        if let Some(e) = self.dead_error() {
-            return Err(e);
-        }
+        self.alive()?;
         self.inner.barrier()
     }
 
-    fn allreduce_sum(&mut self, x: f64) -> Result<f64, CommError> {
-        if let Some(e) = self.dead_error() {
-            return Err(e);
-        }
-        self.inner.allreduce_sum(x)
-    }
-
-    fn allreduce_min(&mut self, x: f64) -> Result<f64, CommError> {
-        if let Some(e) = self.dead_error() {
-            return Err(e);
-        }
-        self.inner.allreduce_min(x)
-    }
-
-    fn allreduce_max(&mut self, x: f64) -> Result<f64, CommError> {
-        if let Some(e) = self.dead_error() {
-            return Err(e);
-        }
-        self.inner.allreduce_max(x)
+    fn allreduce(&mut self, x: f64, op: fn(f64, f64) -> f64) -> Result<f64, CommError> {
+        self.alive()?;
+        self.inner.allreduce(x, op)
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) {
@@ -463,10 +397,8 @@ impl<C: Communicator> Communicator for FaultyComm<C> {
                 self.fault_stats.died_at_step = Some(step);
             }
         }
-        match self.dead_error() {
-            Some(e) => Err(e),
-            None => self.inner.on_time_step(istep),
-        }
+        self.alive()?;
+        self.inner.on_time_step(istep)
     }
 
     fn stats(&self) -> StatsSnapshot {
@@ -481,6 +413,7 @@ impl<C: Communicator> Communicator for FaultyComm<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recv_now;
     use crate::thread::ThreadWorld;
     use crate::virtual_net::NetworkProfile;
     use std::time::Duration;
@@ -532,15 +465,12 @@ mod tests {
                 }
                 if rank == 0 {
                     // Rank 0 expects a message from rank 1 each step.
-                    match comm.recv_f32(1, 7) {
-                        Ok(_) => {}
-                        Err(e) => {
-                            outcome.push(format!("step {istep}: {e}"));
-                            break;
-                        }
+                    if let Err(e) = recv_now(&mut comm, 1, 7) {
+                        outcome.push(format!("step {istep}: {e}"));
+                        break;
                     }
                 } else {
-                    comm.send_f32(0, 7, &[istep as f32]).unwrap();
+                    comm.isend_f32(0, 7, vec![istep as f32]).unwrap();
                 }
             }
             (outcome, comm.fault_stats())
@@ -557,24 +487,35 @@ mod tests {
 
     #[test]
     fn dropped_message_surfaces_as_timeout() {
-        let plan = FaultPlan::new(7).drop_messages(0, 0, 100, 1.0);
+        // The drop window covers step 0 only: that step's message is lost
+        // (the receiver times out), the next step's gets through. The
+        // barrier keeps step 1's message from standing in for the lost one.
+        let plan = FaultPlan::new(7).drop_messages(0, 0, 1, 1.0);
         let results = ThreadWorld::run(2, NetworkProfile::loopback(), |comm| {
             let rank = comm.rank();
             let mut comm = FaultyComm::new(comm, &plan);
-            comm.set_recv_timeout(Some(Duration::from_millis(50)));
-            comm.on_time_step(0).unwrap();
-            if rank == 0 {
-                comm.send_f32(1, 3, &[1.0, 2.0]).unwrap();
-                (comm.fault_stats().messages_dropped, None)
-            } else {
-                (0, Some(comm.recv_f32(0, 3).unwrap_err()))
+            let mut seen = Vec::new();
+            for istep in 0..2 {
+                comm.on_time_step(istep).unwrap();
+                if rank == 0 {
+                    comm.isend_f32(1, 3, vec![istep as f32]).unwrap();
+                } else {
+                    let deadline = if istep == 0 { 50 } else { 10_000 };
+                    comm.set_recv_timeout(Some(Duration::from_millis(deadline)));
+                    seen.push(recv_now(&mut comm, 0, 3));
+                    comm.set_recv_timeout(Some(Duration::from_secs(10)));
+                }
+                comm.barrier().unwrap();
             }
+            (comm.fault_stats().messages_dropped, seen)
         });
         assert_eq!(results[0].0, 1);
+        let seen = &results[1].1;
         assert!(matches!(
-            results[1].1,
-            Some(CommError::Timeout { src: 0, tag: 3, .. })
+            seen[0],
+            Err(CommError::Timeout { src: 0, tag: 3, .. })
         ));
+        assert_eq!(seen[1], Ok(vec![1.0]));
     }
 
     #[test]
@@ -585,10 +526,10 @@ mod tests {
             let mut comm = FaultyComm::new(comm, &plan);
             comm.on_time_step(0).unwrap();
             if rank == 0 {
-                comm.send_f32(1, 3, &[1.0, 2.0, 3.0, 4.0]).unwrap();
+                comm.isend_f32(1, 3, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
                 (comm.fault_stats().payloads_corrupted, Vec::new())
             } else {
-                (0, comm.recv_f32(0, 3).unwrap())
+                (0, recv_now(&mut comm, 0, 3).unwrap())
             }
         });
         assert_eq!(results[0].0, 1);
@@ -615,12 +556,12 @@ mod tests {
                 comm.on_time_step(0).unwrap();
                 if rank == 0 {
                     for i in 0..64 {
-                        comm.send_f32(1, 4, &[i as f32]).unwrap();
+                        comm.isend_f32(1, 4, vec![i as f32]).unwrap();
                     }
                     (comm.fault_stats(), Vec::new())
                 } else {
                     let mut got = Vec::new();
-                    while let Ok(v) = comm.recv_f32(0, 4) {
+                    while let Ok(v) = recv_now(&mut comm, 0, 4) {
                         got.push(v[0]);
                     }
                     (comm.fault_stats(), got)
@@ -631,9 +572,15 @@ mod tests {
         let b = run_once();
         assert_eq!(a[0].0, b[0].0, "sender fault stats must be reproducible");
         assert_eq!(a[1].1, b[1].1, "delivered message set must be reproducible");
-        // And the 0.5 drop rate actually dropped a nontrivial subset.
-        let dropped = a[0].0.messages_dropped;
-        assert!(dropped > 5 && dropped < 60, "dropped = {dropped}");
+        // Pinned, not just reproducible: one PRNG draw per outgoing
+        // message, so a change in how often a post consults the plan moves
+        // the drop count and the survivor set.
+        assert_eq!(a[0].0.messages_dropped, 34);
+        let survivors = [
+            0, 1, 4, 5, 9, 12, 13, 14, 15, 16, 17, 19, 25, 26, 27, 33, 34, 35, 37, 38, 39, 40, 43,
+            45, 46, 47, 52, 53, 54, 59,
+        ];
+        assert_eq!(a[1].1, survivors.map(|i| i as f32));
     }
 
     #[test]
@@ -674,7 +621,7 @@ mod tests {
             if rank == 0 {
                 let _ = comm.on_time_step(1);
                 (
-                    Some(comm.isend_f32(1, 5, &[1.0]).unwrap_err()),
+                    Some(comm.isend_f32(1, 5, vec![1.0]).unwrap_err()),
                     Some(comm.irecv_f32(1, 5).unwrap_err()),
                 )
             } else {
@@ -696,17 +643,18 @@ mod tests {
             comm.on_time_step(0).unwrap();
             if rank == 0 {
                 // isend "succeeds" locally but the wire eats the payload.
-                let req = comm.isend_f32(1, 6, &[3.0]).unwrap();
-                comm.wait(req).unwrap();
-                (comm.fault_stats().messages_dropped, None)
+                comm.isend_f32(1, 6, vec![3.0]).unwrap();
+                (comm.fault_stats().messages_dropped, comm.stats(), None)
             } else {
                 let req = comm.irecv_f32(0, 6).unwrap();
-                (0, Some(comm.wait(req).unwrap_err()))
+                (0, comm.stats(), Some(comm.wait(req).unwrap_err()))
             }
         });
         assert_eq!(results[0].0, 1);
+        // The inner communicator never saw the dropped message.
+        assert_eq!(results[0].1.messages_sent, 0);
         assert!(matches!(
-            results[1].1,
+            results[1].2,
             Some(CommError::Timeout { src: 0, tag: 6, .. })
         ));
     }
@@ -721,12 +669,12 @@ mod tests {
             if rank == 0 {
                 let t0 = std::time::Instant::now();
                 for _ in 0..5 {
-                    comm.send_f32(1, 2, &[0.0]).unwrap();
+                    comm.isend_f32(1, 2, vec![0.0]).unwrap();
                 }
                 (comm.fault_stats().delays_injected, t0.elapsed())
             } else {
                 for _ in 0..5 {
-                    comm.recv_f32(0, 2).unwrap();
+                    recv_now(&mut comm, 0, 2).unwrap();
                 }
                 (0, Duration::ZERO)
             }

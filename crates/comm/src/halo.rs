@@ -67,7 +67,9 @@ impl HaloPlan {
 /// Sum shared-point contributions of a multi-component field across ranks.
 ///
 /// `field` is laid out `[point * ncomp + component]`. After the call every
-/// copy of every shared point holds the sum of all ranks' partials.
+/// copy of every shared point holds the sum of all ranks' partials. This is
+/// the blocking exchange: [`post_halo_exchange`] followed at once by
+/// [`finish_halo_assembly`], an empty overlap window.
 pub fn assemble_halo(
     comm: &mut dyn Communicator,
     plan: &HaloPlan,
@@ -75,62 +77,19 @@ pub fn assemble_halo(
     ncomp: usize,
     tag: u32,
 ) -> Result<(), CommError> {
-    exchange_halo(comm, plan, field, ncomp, tag, |dst, src| *dst += src)
-}
-
-/// Generic halo exchange with a custom combine function (`+=` for assembly,
-/// `=` would implement ghost-value copy).
-pub fn exchange_halo(
-    comm: &mut dyn Communicator,
-    plan: &HaloPlan,
-    field: &mut [f32],
-    ncomp: usize,
-    tag: u32,
-    mut combine: impl FnMut(&mut f32, f32),
-) -> Result<(), CommError> {
     if plan.neighbors.is_empty() {
         return Ok(());
     }
     let _span = specfem_obs::span("comm.halo");
-    // Post all sends first (non-blocking semantics; avoids deadlock without
-    // needing ordered pairwise exchanges).
-    let mut sendbuf = Vec::new();
-    for n in &plan.neighbors {
-        sendbuf.clear();
-        sendbuf.reserve(n.points.len() * ncomp);
-        for &p in &n.points {
-            let base = p as usize * ncomp;
-            sendbuf.extend_from_slice(&field[base..base + ncomp]);
-        }
-        comm.send_f32(n.rank, tag, &sendbuf)?;
-    }
-    // Then receive from every neighbour and combine.
-    for n in &plan.neighbors {
-        let recv = comm.recv_f32(n.rank, tag)?;
-        if recv.len() != n.points.len() * ncomp {
-            return Err(CommError::Protocol {
-                detail: format!(
-                    "halo size mismatch with rank {}: got {} values, expected {}",
-                    n.rank,
-                    recv.len(),
-                    n.points.len() * ncomp
-                ),
-            });
-        }
-        for (i, &p) in n.points.iter().enumerate() {
-            let base = p as usize * ncomp;
-            for c in 0..ncomp {
-                combine(&mut field[base + c], recv[i * ncomp + c]);
-            }
-        }
-    }
-    Ok(())
+    let reqs = post_halo_exchange(comm, plan, field, ncomp, tag)?;
+    finish_halo_assembly(comm, plan, field, ncomp, reqs)
 }
 
 /// Post the halo exchange for `field` without completing it: pack and
-/// isend this rank's partials to every neighbour, post matching irecvs,
-/// and return the receive requests (one per neighbour, ascending rank
-/// order — the order [`finish_halo_assembly`] completes them in).
+/// isend this rank's partials to every neighbour (all sends first, which
+/// avoids deadlock without ordered pairwise exchanges), post matching
+/// irecvs, and return the receive requests (one per neighbour, ascending
+/// rank order — the order [`finish_halo_assembly`] completes them in).
 ///
 /// Between `post` and `finish` the caller may do arbitrary computation —
 /// the overlap window — **provided it does not write the shared points of
@@ -147,15 +106,13 @@ pub fn post_halo_exchange(
         return Ok(Vec::new());
     }
     let _span = specfem_obs::span("comm.halo.post");
-    let mut sendbuf = Vec::new();
     for n in &plan.neighbors {
-        sendbuf.clear();
-        sendbuf.reserve(n.points.len() * ncomp);
+        let mut sendbuf = Vec::with_capacity(n.points.len() * ncomp);
         for &p in &n.points {
             let base = p as usize * ncomp;
             sendbuf.extend_from_slice(&field[base..base + ncomp]);
         }
-        comm.isend_f32(n.rank, tag, &sendbuf)?;
+        comm.isend_f32(n.rank, tag, sendbuf)?;
     }
     let mut reqs = Vec::with_capacity(plan.neighbors.len());
     for n in &plan.neighbors {
@@ -165,9 +122,15 @@ pub fn post_halo_exchange(
 }
 
 /// Complete a posted halo exchange: wait for each neighbour's partials in
-/// ascending rank order and add them into `field`. The combine order is
-/// identical to the blocking [`assemble_halo`], which is what keeps the
-/// overlapped solver bit-identical to the reference path.
+/// ascending rank order and add them into `field`. That fixed combine
+/// order is what keeps every halo schedule bit-identical.
+///
+/// `reqs` must be what [`post_halo_exchange`] returned for the same
+/// `plan`. A request count or payload size that does not fit the plan is a
+/// [`CommError::Protocol`]; such an error (like any other returned here)
+/// leaves the neighbours' not-yet-waited messages queued under their
+/// `(src, tag)`, where the next receive on that tag would match them, so
+/// the caller must treat it as fatal for the exchange's tag.
 pub fn finish_halo_assembly(
     comm: &mut dyn Communicator,
     plan: &HaloPlan,
@@ -175,15 +138,21 @@ pub fn finish_halo_assembly(
     ncomp: usize,
     reqs: Vec<Request>,
 ) -> Result<(), CommError> {
-    debug_assert_eq!(reqs.len(), plan.neighbors.len());
+    if reqs.len() != plan.neighbors.len() {
+        return Err(CommError::Protocol {
+            detail: format!(
+                "halo finish got {} requests for a plan of {} neighbours",
+                reqs.len(),
+                plan.neighbors.len()
+            ),
+        });
+    }
     if reqs.is_empty() {
         return Ok(());
     }
     let _span = specfem_obs::span("comm.halo.wait");
     for (n, req) in plan.neighbors.iter().zip(reqs) {
-        let recv = comm
-            .wait(req)?
-            .expect("halo receive request must yield data");
+        let recv = comm.wait(req)?;
         if recv.len() != n.points.len() * ncomp {
             return Err(CommError::Protocol {
                 detail: format!(
@@ -207,6 +176,7 @@ pub fn finish_halo_assembly(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recv_now;
     use crate::thread::ThreadWorld;
     use crate::virtual_net::NetworkProfile;
 
@@ -337,43 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn split_halo_matches_blocking_bitwise() {
-        // Same 4-rank corner exchange, run blocking and split (with fake
-        // "inner computation" on private points during the window); the
-        // assembled fields must agree bit-for-bit.
-        let run = |split: bool| {
-            ThreadWorld::run(4, NetworkProfile::loopback(), move |mut comm| {
-                let rank = comm.rank();
-                let neighbors = (0..4)
-                    .filter(|&r| r != rank)
-                    .map(|r| Neighbor {
-                        rank: r,
-                        points: vec![0],
-                    })
-                    .collect();
-                let plan = HaloPlan { neighbors };
-                // Point 0 shared, point 1 private.
-                let mut field = vec![0.1f32 * (rank as f32 + 1.0), 0.0];
-                if split {
-                    let reqs = post_halo_exchange(&mut comm, &plan, &field, 1, 9).unwrap();
-                    field[1] += 7.0; // private work inside the window
-                    finish_halo_assembly(&mut comm, &plan, &mut field, 1, reqs).unwrap();
-                } else {
-                    assemble_halo(&mut comm, &plan, &mut field, 1, 9).unwrap();
-                    field[1] += 7.0;
-                }
-                field
-            })
-        };
-        let blocking = run(false);
-        let split = run(true);
-        for (b, s) in blocking.iter().zip(&split) {
-            assert_eq!(b[0].to_bits(), s[0].to_bits());
-            assert_eq!(b[1].to_bits(), s[1].to_bits());
-        }
-    }
-
-    #[test]
     fn split_halo_empty_plan_is_noop() {
         let mut comm = crate::serial::SerialComm::new();
         let plan = HaloPlan::default();
@@ -392,8 +325,8 @@ mod tests {
                 // Send a wrong-length buffer by hand on the halo tag, then
                 // stay alive until rank 1's post arrives so its isend never
                 // sees a torn-down endpoint.
-                comm.send_f32(1, 9, &[1.0, 2.0, 3.0]).unwrap();
-                let _ = comm.recv_f32(1, 9).unwrap();
+                comm.isend_f32(1, 9, vec![1.0, 2.0, 3.0]).unwrap();
+                recv_now(&mut comm, 1, 9).unwrap();
                 None
             } else {
                 let plan = HaloPlan {
@@ -411,5 +344,41 @@ mod tests {
             results[1].clone().unwrap(),
             CommError::Protocol { .. }
         ));
+    }
+
+    #[test]
+    fn truncated_request_list_is_a_protocol_error_on_both_ranks() {
+        // A short request list must not zip past the missing neighbours
+        // and leave their shared points unassembled.
+        let results = ThreadWorld::run(2, NetworkProfile::loopback(), |mut comm| {
+            let peer = 1 - comm.rank();
+            let plan = HaloPlan {
+                neighbors: vec![Neighbor {
+                    rank: peer,
+                    points: vec![0],
+                }],
+            };
+            let mut field = vec![comm.rank() as f32 + 1.0];
+            let mut reqs = post_halo_exchange(&mut comm, &plan, &field, 1, 9).unwrap();
+            reqs.pop();
+            let err = finish_halo_assembly(&mut comm, &plan, &mut field, 1, reqs).unwrap_err();
+            // As documented, the peer's partial is still queued under
+            // (peer, 9): the next receive on the tag gets it. Draining it
+            // here also keeps both endpoints alive until both posts landed.
+            let stale = recv_now(&mut comm, peer, 9).unwrap();
+            (err, field[0], stale)
+        });
+        for (rank, (err, value, stale)) in results.iter().enumerate() {
+            match err {
+                CommError::Protocol { detail } => {
+                    assert!(detail.contains("0 requests"), "{detail}");
+                    assert!(detail.contains("1 neighbours"), "{detail}");
+                }
+                other => panic!("rank {rank}: expected Protocol, got {other:?}"),
+            }
+            // Nothing was combined into the field.
+            assert_eq!(*value, rank as f32 + 1.0);
+            assert_eq!(*stale, vec![(1 - rank) as f32 + 1.0]);
+        }
     }
 }

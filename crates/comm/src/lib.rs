@@ -15,10 +15,13 @@
 //!   deterministic analog used to extrapolate to machines we do not have
 //!   (62K-core Ranger and friends).
 //!
-//! All blocking operations are fallible: a stalled or dead peer surfaces as
-//! a typed [`CommError`] (with a configurable receive deadline) instead of
-//! an infinite hang, and [`fault::FaultyComm`] can deterministically inject
-//! the failures a 62K-core run would see in the wild.
+//! Point-to-point traffic follows one protocol — post a send, post a
+//! receive, wait on the receive — and a halo exchange is one post/finish
+//! pair built on it ([`halo`]). Every operation that can block is fallible:
+//! a stalled or dead peer surfaces as a typed [`CommError`] (with a
+//! configurable receive deadline) instead of an infinite hang, and
+//! [`fault::FaultyComm`] can deterministically inject the failures a
+//! 62K-core run would see in the wild.
 
 pub mod error;
 pub mod fault;
@@ -34,10 +37,8 @@ pub use error::CommError;
 pub use fault::{
     ArtifactFaultKind, ArtifactFaultSpec, FaultKind, FaultPlan, FaultSpec, FaultStats, FaultyComm,
 };
-pub use halo::{
-    assemble_halo, exchange_halo, finish_halo_assembly, post_halo_exchange, HaloPlan, Neighbor,
-};
-pub use request::{Request, RequestKind};
+pub use halo::{assemble_halo, finish_halo_assembly, post_halo_exchange, HaloPlan, Neighbor};
+pub use request::Request;
 pub use serial::SerialComm;
 pub use stats::{CommStats, StatsSnapshot};
 pub use thread::{RankPanic, ThreadComm, ThreadWorld, DEFAULT_RECV_TIMEOUT};
@@ -71,8 +72,6 @@ pub mod tags {
     /// Barrier entry/release traffic (message-based so it honours the recv
     /// deadline instead of hanging on a dead rank).
     pub const BARRIER: u32 = 202;
-    /// Mesher → solver handoff (legacy I/O replacement path).
-    pub const MESH_HANDOFF: u32 = 300;
 }
 
 /// How many rank-worlds of `ranks_per_job` threads each can run
@@ -90,13 +89,16 @@ pub fn recommended_workers(ranks_per_job: usize, jobs: usize) -> usize {
 
 /// The MPI-like interface the solver programs against.
 ///
-/// Semantics follow MPI two-sided messaging: `send` is asynchronous
-/// (buffered, never deadlocks at our message sizes), `recv` blocks until a
-/// matching `(src, tag)` message arrives *or the configured deadline
-/// expires*. All collective operations must be entered by every rank.
+/// There is one way to move a payload: post it with
+/// [`isend_f32`](Communicator::isend_f32), post the matching receive with
+/// [`irecv_f32`](Communicator::irecv_f32), and complete the receive with
+/// [`wait`](Communicator::wait), which blocks until the `(src, tag)`
+/// message arrives *or the configured deadline expires*. A blocking
+/// exchange is the same protocol with nothing between post and wait. All
+/// collective operations must be entered by every rank.
 ///
-/// Every blocking call is fallible. A backend that cannot fail (e.g. the
-/// serial world) simply always returns `Ok`; the thread backend reports
+/// Every call that can block is fallible. A backend that cannot fail (e.g.
+/// the serial world) simply always returns `Ok`; the thread backend reports
 /// stalls as [`CommError::Timeout`], vanished peers as
 /// [`CommError::Disconnected`], and fault injection adds
 /// [`CommError::RankDead`].
@@ -106,67 +108,45 @@ pub trait Communicator: Send {
     /// Number of ranks.
     fn size(&self) -> usize;
 
-    /// Asynchronous buffered send of an `f32` payload.
-    fn send_f32(&mut self, dest: usize, tag: u32, data: &[f32]) -> Result<(), CommError>;
-    /// Blocking receive matching `(src, tag)`, subject to the recv deadline.
-    fn recv_f32(&mut self, src: usize, tag: u32) -> Result<Vec<f32>, CommError>;
+    /// Post an `f32` payload to `dest`. Sends are buffered (never deadlock
+    /// at our message sizes), so the transfer is complete on return and
+    /// there is no send request to wait on; the buffer is moved into the
+    /// message, not copied. Faulty backends may fail *at post* (e.g. the
+    /// local rank is dead).
+    fn isend_f32(&mut self, dest: usize, tag: u32, data: Vec<f32>) -> Result<(), CommError>;
 
-    /// Non-blocking send: post the message and return immediately with a
-    /// [`Request`]. Because sends are buffered, the default completes the
-    /// transfer at post time; the request only tracks completion semantics.
-    /// Faulty backends may fail *at post* (e.g. the local rank is dead).
-    fn isend_f32(&mut self, dest: usize, tag: u32, data: &[f32]) -> Result<Request, CommError> {
-        self.send_f32(dest, tag, data)?;
-        Ok(Request::send(dest, tag))
-    }
+    /// Register interest in the next `(src, tag)` message and return a
+    /// [`Request`] without blocking. The message is delivered by `wait`.
+    /// Matching follows MPI semantics: requests for the same `(src, tag)`
+    /// complete in the order the messages were sent (FIFO per channel).
+    fn irecv_f32(&mut self, src: usize, tag: u32) -> Result<Request, CommError>;
 
-    /// Non-blocking receive: register interest in the next `(src, tag)`
-    /// message and return a [`Request`] without blocking. The message is
-    /// delivered by `wait`. Matching follows MPI semantics: requests for
-    /// the same `(src, tag)` complete in the order the messages were sent
-    /// (FIFO per channel).
-    fn irecv_f32(&mut self, src: usize, tag: u32) -> Result<Request, CommError> {
-        if src >= self.size() {
-            return Err(CommError::InvalidRank {
-                rank: src,
-                size: self.size(),
-            });
-        }
-        Ok(Request::recv(src, tag))
-    }
-
-    /// Complete a non-blocking operation, subject to the recv deadline.
-    /// Send requests resolve to `Ok(None)`; receive requests block until
-    /// the matching message arrives and resolve to `Ok(Some(data))`. A
-    /// stalled peer surfaces as [`CommError::Timeout`], a dead one as
-    /// [`CommError::RankDead`] — `wait` never hangs forever while a
+    /// Complete a posted receive, subject to the recv deadline: block until
+    /// the matching message arrives and return its payload. A stalled peer
+    /// surfaces as [`CommError::Timeout`] naming `(src, tag)`, a dead one
+    /// as [`CommError::RankDead`] — `wait` never hangs forever while a
     /// deadline is configured.
-    fn wait(&mut self, req: Request) -> Result<Option<Vec<f32>>, CommError> {
-        match req.kind() {
-            RequestKind::Send { .. } => Ok(None),
-            RequestKind::Recv { src, tag } => self.recv_f32(src, tag).map(Some),
-        }
-    }
-
-    /// Complete a batch of requests in order, failing fast on the first
-    /// error. Results line up index-for-index with `reqs`.
-    fn wait_all(&mut self, reqs: Vec<Request>) -> Result<Vec<Option<Vec<f32>>>, CommError> {
-        let mut out = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            out.push(self.wait(req)?);
-        }
-        Ok(out)
-    }
+    fn wait(&mut self, req: Request) -> Result<Vec<f32>, CommError>;
 
     /// Barrier across all ranks.
     fn barrier(&mut self) -> Result<(), CommError>;
 
+    /// Reduce one `f64` over all ranks with `op`, applied in ascending
+    /// rank order so every rank gets the same bits.
+    fn allreduce(&mut self, x: f64, op: fn(f64, f64) -> f64) -> Result<f64, CommError>;
+
     /// Global sum of one `f64`.
-    fn allreduce_sum(&mut self, x: f64) -> Result<f64, CommError>;
+    fn allreduce_sum(&mut self, x: f64) -> Result<f64, CommError> {
+        self.allreduce(x, |a, b| a + b)
+    }
     /// Global min of one `f64`.
-    fn allreduce_min(&mut self, x: f64) -> Result<f64, CommError>;
+    fn allreduce_min(&mut self, x: f64) -> Result<f64, CommError> {
+        self.allreduce(x, f64::min)
+    }
     /// Global max of one `f64`.
-    fn allreduce_max(&mut self, x: f64) -> Result<f64, CommError>;
+    fn allreduce_max(&mut self, x: f64) -> Result<f64, CommError> {
+        self.allreduce(x, f64::max)
+    }
 
     /// Configure the deadline applied to blocking receives. `None` waits
     /// forever (pre-fault-tolerance behaviour); backends without blocking
@@ -186,6 +166,18 @@ pub trait Communicator: Send {
     /// Reset statistics (e.g. after the warm-up phase, so the main-loop
     /// percentages match the paper's IPM methodology).
     fn reset_stats(&mut self);
+}
+
+/// Test shorthand for a receive with an empty overlap window: post it and
+/// wait at once.
+#[cfg(test)]
+pub(crate) fn recv_now(
+    comm: &mut dyn Communicator,
+    src: usize,
+    tag: u32,
+) -> Result<Vec<f32>, CommError> {
+    let req = comm.irecv_f32(src, tag)?;
+    comm.wait(req)
 }
 
 #[cfg(test)]
@@ -210,7 +202,6 @@ mod tests {
             tags::REDUCE,
             tags::BCAST,
             tags::BARRIER,
-            tags::MESH_HANDOFF,
         ];
         for i in 0..all.len() {
             for j in i + 1..all.len() {
@@ -231,6 +222,5 @@ mod tests {
         assert_eq!(tag_name(tags::REDUCE), "reduce");
         assert_eq!(tag_name(tags::BCAST), "bcast");
         assert_eq!(tag_name(tags::BARRIER), "barrier");
-        assert_eq!(tag_name(tags::MESH_HANDOFF), "mesh_handoff");
     }
 }

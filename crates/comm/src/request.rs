@@ -1,74 +1,44 @@
-//! Typed handles for non-blocking point-to-point operations.
+//! Typed handle for a posted receive.
 //!
-//! `isend_f32`/`irecv_f32` return a [`Request`]; the operation completes
-//! when the request is passed to `wait`/`wait_all`. A `Request` records
-//! when it was posted so backends can measure the *overlap window* — the
-//! time between posting a message and asking for its completion, which is
-//! exactly the computation the solver managed to hide behind the wire.
+//! `irecv_f32` returns a [`Request`]; the message is delivered when the
+//! request is passed to `wait`. Sends have no handle: they are buffered, so
+//! `isend_f32` is complete when it returns. A `Request` records when it was
+//! posted so backends can measure the *overlap window* — the time between
+//! posting a receive and asking for its completion, which is exactly the
+//! computation the solver managed to hide behind the wire.
 
 use std::time::{Duration, Instant};
 
-/// What kind of operation a request tracks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestKind {
-    /// A posted send to `dest` with `tag`.
-    Send { dest: usize, tag: u32 },
-    /// A posted receive matching `(src, tag)`.
-    Recv { src: usize, tag: u32 },
-}
-
-/// Handle for an in-flight non-blocking operation.
+/// Handle for a posted receive matching `(src, tag)`.
 ///
-/// Must be completed with [`crate::Communicator::wait`] or
-/// [`crate::Communicator::wait_all`]; dropping a request abandons the
-/// operation (for sends this is harmless — sends are buffered — but an
-/// abandoned receive leaves its message in the pending queue).
+/// Must be completed with [`crate::Communicator::wait`]; a dropped request
+/// leaves its message in the pending queue, where the next receive on the
+/// same `(src, tag)` will match it.
 #[derive(Debug, Clone)]
 pub struct Request {
-    kind: RequestKind,
+    src: usize,
+    tag: u32,
     posted: Instant,
 }
 
 impl Request {
-    /// A posted send.
-    pub fn send(dest: usize, tag: u32) -> Self {
-        Self {
-            kind: RequestKind::Send { dest, tag },
-            posted: Instant::now(),
-        }
-    }
-
-    /// A posted receive.
+    /// A receive for the next `(src, tag)` message, posted now.
     pub fn recv(src: usize, tag: u32) -> Self {
         Self {
-            kind: RequestKind::Recv { src, tag },
+            src,
+            tag,
             posted: Instant::now(),
         }
     }
 
-    /// The operation this request tracks.
-    pub fn kind(&self) -> RequestKind {
-        self.kind
-    }
-
-    /// True for receive requests (the ones that yield data at `wait`).
-    pub fn is_recv(&self) -> bool {
-        matches!(self.kind, RequestKind::Recv { .. })
-    }
-
-    /// The remote rank: destination for sends, source for receives.
-    pub fn peer(&self) -> usize {
-        match self.kind {
-            RequestKind::Send { dest, .. } => dest,
-            RequestKind::Recv { src, .. } => src,
-        }
+    /// The rank the message comes from.
+    pub fn src(&self) -> usize {
+        self.src
     }
 
     /// The message tag.
     pub fn tag(&self) -> u32 {
-        match self.kind {
-            RequestKind::Send { tag, .. } | RequestKind::Recv { tag, .. } => tag,
-        }
+        self.tag
     }
 
     /// Time since the request was posted — at `wait` entry this is the
@@ -84,15 +54,8 @@ mod tests {
 
     #[test]
     fn request_accessors() {
-        let s = Request::send(3, 100);
-        assert!(!s.is_recv());
-        assert_eq!(s.peer(), 3);
-        assert_eq!(s.tag(), 100);
-        assert_eq!(s.kind(), RequestKind::Send { dest: 3, tag: 100 });
-
         let r = Request::recv(1, 101);
-        assert!(r.is_recv());
-        assert_eq!(r.peer(), 1);
+        assert_eq!(r.src(), 1);
         assert_eq!(r.tag(), 101);
         assert!(r.age() >= Duration::ZERO);
     }

@@ -2,7 +2,7 @@
 //! as the reference in parallel-vs-serial equivalence tests.
 
 use crate::error::CommError;
-use crate::request::{Request, RequestKind};
+use crate::request::Request;
 use crate::stats::{CommStats, StatsSnapshot};
 use crate::Communicator;
 use std::time::Duration;
@@ -32,7 +32,7 @@ impl Communicator for SerialComm {
         1
     }
 
-    fn send_f32(&mut self, dest: usize, tag: u32, data: &[f32]) -> Result<(), CommError> {
+    fn isend_f32(&mut self, dest: usize, tag: u32, data: Vec<f32>) -> Result<(), CommError> {
         if dest != 0 {
             return Err(CommError::InvalidRank {
                 rank: dest,
@@ -40,34 +40,9 @@ impl Communicator for SerialComm {
             });
         }
         self.stats.on_send(tag, data.len() * 4);
-        self.self_queue.push((tag, data.to_vec()));
-        Ok(())
-    }
-
-    fn recv_f32(&mut self, src: usize, tag: u32) -> Result<Vec<f32>, CommError> {
-        if src != 0 {
-            return Err(CommError::InvalidRank { rank: src, size: 1 });
-        }
-        // A receive with no buffered self-message can never complete — in a
-        // world of one there is nobody else to send it.
-        let pos =
-            self.self_queue
-                .iter()
-                .position(|(t, _)| *t == tag)
-                .ok_or(CommError::Timeout {
-                    src,
-                    tag,
-                    waited: std::time::Duration::ZERO,
-                })?;
-        let (_, data) = self.self_queue.remove(pos);
-        self.stats.on_recv(data.len() * 4);
-        Ok(data)
-    }
-
-    fn isend_f32(&mut self, dest: usize, tag: u32, data: &[f32]) -> Result<Request, CommError> {
-        self.send_f32(dest, tag, data)?;
         self.stats.on_post(Duration::ZERO);
-        Ok(Request::send(dest, tag))
+        self.self_queue.push((tag, data));
+        Ok(())
     }
 
     fn irecv_f32(&mut self, src: usize, tag: u32) -> Result<Request, CommError> {
@@ -78,19 +53,24 @@ impl Communicator for SerialComm {
         Ok(Request::recv(src, tag))
     }
 
-    fn wait(&mut self, req: Request) -> Result<Option<Vec<f32>>, CommError> {
+    fn wait(&mut self, req: Request) -> Result<Vec<f32>, CommError> {
         let overlap = req.age();
-        match req.kind() {
-            RequestKind::Send { .. } => {
-                self.stats.on_wait(overlap, Duration::ZERO);
-                Ok(None)
-            }
-            RequestKind::Recv { src, tag } => {
-                let data = self.recv_f32(src, tag)?;
-                self.stats.on_wait(overlap, Duration::ZERO);
-                Ok(Some(data))
-            }
-        }
+        let (src, tag) = (req.src(), req.tag());
+        // A receive with no buffered self-message can never complete — in a
+        // world of one there is nobody else to send it.
+        let pos =
+            self.self_queue
+                .iter()
+                .position(|(t, _)| *t == tag)
+                .ok_or(CommError::Timeout {
+                    src,
+                    tag,
+                    waited: Duration::ZERO,
+                })?;
+        let (_, data) = self.self_queue.remove(pos);
+        self.stats.on_recv(data.len() * 4);
+        self.stats.on_wait(overlap, Duration::ZERO);
+        Ok(data)
     }
 
     fn barrier(&mut self) -> Result<(), CommError> {
@@ -98,17 +78,7 @@ impl Communicator for SerialComm {
         Ok(())
     }
 
-    fn allreduce_sum(&mut self, x: f64) -> Result<f64, CommError> {
-        self.stats.collectives += 1;
-        Ok(x)
-    }
-
-    fn allreduce_min(&mut self, x: f64) -> Result<f64, CommError> {
-        self.stats.collectives += 1;
-        Ok(x)
-    }
-
-    fn allreduce_max(&mut self, x: f64) -> Result<f64, CommError> {
+    fn allreduce(&mut self, x: f64, _op: fn(f64, f64) -> f64) -> Result<f64, CommError> {
         self.stats.collectives += 1;
         Ok(x)
     }
@@ -125,6 +95,7 @@ impl Communicator for SerialComm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recv_now;
 
     #[test]
     fn collectives_are_identity() {
@@ -138,40 +109,49 @@ mod tests {
 
     #[test]
     fn self_send_recv_roundtrip() {
+        // Self-messages match by tag, whatever order they were sent in.
         let mut c = SerialComm::new();
-        c.send_f32(0, 3, &[1.0, 2.0]).unwrap();
-        c.send_f32(0, 4, &[9.0]).unwrap();
-        assert_eq!(c.recv_f32(0, 4).unwrap(), vec![9.0]);
-        assert_eq!(c.recv_f32(0, 3).unwrap(), vec![1.0, 2.0]);
+        c.isend_f32(0, 3, vec![1.0, 2.0]).unwrap();
+        c.isend_f32(0, 4, vec![9.0]).unwrap();
+        assert_eq!(recv_now(&mut c, 0, 4).unwrap(), vec![9.0]);
+        assert_eq!(recv_now(&mut c, 0, 3).unwrap(), vec![1.0, 2.0]);
         assert_eq!(c.stats().bytes_sent, 12);
+        assert_eq!(c.stats().bytes_received, 12);
+    }
+
+    #[test]
+    fn nonblocking_self_roundtrip() {
+        // Receives posted before the sends exist; same-tag messages come
+        // back in send order.
+        let mut c = SerialComm::new();
+        let first = c.irecv_f32(0, 3).unwrap();
+        let second = c.irecv_f32(0, 3).unwrap();
+        c.isend_f32(0, 3, vec![4.0, 5.0]).unwrap();
+        c.isend_f32(0, 3, vec![6.0]).unwrap();
+        assert_eq!(c.wait(first).unwrap(), vec![4.0, 5.0]);
+        assert_eq!(c.wait(second).unwrap(), vec![6.0]);
+        assert_eq!(c.stats().posts, 4);
     }
 
     #[test]
     fn send_to_other_rank_is_an_error() {
         let mut c = SerialComm::new();
-        assert_eq!(
-            c.send_f32(1, 0, &[0.0]).unwrap_err(),
-            CommError::InvalidRank { rank: 1, size: 1 }
-        );
+        let invalid = CommError::InvalidRank { rank: 1, size: 1 };
+        assert_eq!(c.isend_f32(1, 0, vec![0.0]).unwrap_err(), invalid);
+        assert_eq!(c.irecv_f32(1, 0).unwrap_err(), invalid);
     }
 
     #[test]
     fn recv_with_no_buffered_message_is_a_timeout() {
+        // A message under another tag does not satisfy the receive, and
+        // stays queued for its own.
         let mut c = SerialComm::new();
+        c.isend_f32(0, 7, vec![1.0]).unwrap();
         assert!(matches!(
-            c.recv_f32(0, 8).unwrap_err(),
+            recv_now(&mut c, 0, 8).unwrap_err(),
             CommError::Timeout { src: 0, tag: 8, .. }
         ));
-    }
-
-    #[test]
-    fn nonblocking_self_roundtrip() {
-        let mut c = SerialComm::new();
-        let sreq = c.isend_f32(0, 3, &[4.0, 5.0]).unwrap();
-        let rreq = c.irecv_f32(0, 3).unwrap();
-        assert_eq!(c.wait(rreq).unwrap(), Some(vec![4.0, 5.0]));
-        assert!(c.wait(sreq).unwrap().is_none());
-        assert_eq!(c.stats().posts, 2);
+        assert_eq!(recv_now(&mut c, 0, 7).unwrap(), vec![1.0]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct CommStats {
     /// Cumulative overlap window: time between posting a request and
     /// entering `wait` on it — the computation hidden behind the wire.
     pub overlap_time: Duration,
-    /// Wall time blocked inside `wait`/`wait_all` — the *exposed*
+    /// Wall time blocked inside `wait` — the *exposed*
     /// communication cost an overlapped solver actually pays.
     pub wait_time: Duration,
     /// Sent traffic keyed by message tag (see [`crate::tags`]).
@@ -130,7 +130,7 @@ pub struct StatsSnapshot {
     pub post_time_s: f64,
     /// Cumulative post→wait overlap window (seconds).
     pub overlap_time_s: f64,
-    /// Seconds blocked inside `wait`/`wait_all`.
+    /// Seconds blocked inside `wait`.
     pub wait_time_s: f64,
     /// Sent traffic per message tag, ascending tag order.
     pub per_tag: Vec<TagTraffic>,

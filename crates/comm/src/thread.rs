@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::CommError;
-use crate::request::{Request, RequestKind};
+use crate::request::Request;
 use crate::stats::{CommStats, StatsSnapshot};
 use crate::virtual_net::NetworkProfile;
 use crate::watchdog::{monitor_loop, Heartbeats, WatchdogConfig, WatchdogReport};
@@ -96,24 +96,6 @@ impl ThreadWorld {
             .collect()
     }
 
-    /// Like [`ThreadWorld::create`], but every endpoint shares a
-    /// [`Heartbeats`] board for the straggler watchdog: each rank's
-    /// `on_time_step` advances its heartbeat (two relaxed stores) and
-    /// checks the escalation flag. Pair with
-    /// [`crate::watchdog::WatchdogConfig`] and a monitor (see
-    /// [`ThreadWorld::try_run_watched`]).
-    pub fn create_watched(
-        size: usize,
-        profile: NetworkProfile,
-    ) -> (Vec<ThreadComm>, Arc<Heartbeats>) {
-        let hb = Arc::new(Heartbeats::new(size));
-        let mut comms = Self::create(size, profile);
-        for c in &mut comms {
-            c.watchdog = Some(Arc::clone(&hb));
-        }
-        (comms, hb)
-    }
-
     /// Run `f` on `size` ranks (one thread each) and collect the per-rank
     /// results in rank order. This is the `mpirun` analog used by tests,
     /// examples and benchmarks. A rank panic propagates — use
@@ -137,67 +119,66 @@ impl ThreadWorld {
         R: Send,
         F: Fn(ThreadComm) -> R + Sync,
     {
-        let comms = Self::create(size, profile);
-        let mut out: Vec<Option<Result<R, RankPanic>>> = (0..size).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for comm in comms {
-                let fref = &f;
-                handles.push(scope.spawn(move || fref(comm)));
-            }
-            for (rank, (slot, h)) in out.iter_mut().zip(handles).enumerate() {
-                *slot = Some(h.join().map_err(|payload| RankPanic {
-                    rank,
-                    message: panic_message(payload.as_ref()),
-                }));
-            }
-        });
-        out.into_iter().map(|r| r.unwrap()).collect()
+        Self::launch(size, profile, None, f).0
     }
 
-    /// Like [`ThreadWorld::try_run`], but with the straggler watchdog
-    /// armed: a monitor thread polls every rank's heartbeat, tracks
-    /// cross-rank step skew, flags ranks whose heartbeat age exceeds
-    /// `config.timeout`, and (when `config.escalate`) makes every
-    /// healthy rank's next `on_time_step` fail with
-    /// [`CommError::Stalled`] naming the straggler. Returns the per-rank
-    /// results plus the monitor's [`WatchdogReport`].
-    pub fn try_run_watched<R, F>(
+    /// The one launcher behind [`ThreadWorld::run`] and
+    /// [`ThreadWorld::try_run`]: spawn a thread per rank, join them in
+    /// rank order, and turn a panic into `Err(RankPanic)` in that rank's
+    /// slot.
+    ///
+    /// With `watchdog` set the straggler watchdog is armed: every endpoint
+    /// shares a [`Heartbeats`] board (each rank's `on_time_step` advances
+    /// its heartbeat — two relaxed stores — and checks the escalation
+    /// flag), and a monitor thread polls the board, tracks cross-rank step
+    /// skew, flags ranks whose heartbeat age exceeds `timeout`, and (when
+    /// `escalate`) makes every healthy rank's next `on_time_step` fail with
+    /// [`CommError::Stalled`] naming the straggler. The monitor's
+    /// [`WatchdogReport`] is returned next to the per-rank results.
+    pub fn launch<R, F>(
         size: usize,
         profile: NetworkProfile,
-        config: WatchdogConfig,
+        watchdog: Option<WatchdogConfig>,
         f: F,
-    ) -> (Vec<Result<R, RankPanic>>, WatchdogReport)
+    ) -> (Vec<Result<R, RankPanic>>, Option<WatchdogReport>)
     where
         R: Send,
         F: Fn(ThreadComm) -> R + Sync,
     {
-        let (comms, hb) = Self::create_watched(size, profile);
-        let mut out: Vec<Option<Result<R, RankPanic>>> = (0..size).map(|_| None).collect();
+        let mut comms = Self::create(size, profile);
+        let board = watchdog.map(|config| (config, Arc::new(Heartbeats::new(size))));
+        if let Some((_, hb)) = &board {
+            for c in &mut comms {
+                c.watchdog = Some(Arc::clone(hb));
+            }
+        }
         let stop = AtomicBool::new(false);
-        let mut report = WatchdogReport::default();
         std::thread::scope(|scope| {
-            let monitor = {
-                let hb = &hb;
-                let config = &config;
+            let monitor = board.as_ref().map(|(config, hb)| {
                 let stop = &stop;
                 scope.spawn(move || monitor_loop(hb, config, stop))
-            };
-            let mut handles = Vec::new();
-            for comm in comms {
-                let fref = &f;
-                handles.push(scope.spawn(move || fref(comm)));
-            }
-            for (rank, (slot, h)) in out.iter_mut().zip(handles).enumerate() {
-                *slot = Some(h.join().map_err(|payload| RankPanic {
-                    rank,
-                    message: panic_message(payload.as_ref()),
-                }));
-            }
+            });
+            let handles: Vec<_> = comms
+                .into_iter()
+                .map(|comm| {
+                    let fref = &f;
+                    scope.spawn(move || fref(comm))
+                })
+                .collect();
+            let out = handles
+                .into_iter()
+                .enumerate()
+                .map(|(rank, h)| {
+                    h.join().map_err(|payload| RankPanic {
+                        rank,
+                        message: panic_message(payload.as_ref()),
+                    })
+                })
+                .collect();
             stop.store(true, Ordering::Release);
-            report = monitor.join().expect("watchdog monitor must not panic");
-        });
-        (out.into_iter().map(|r| r.unwrap()).collect(), report)
+            let report = monitor.map(|m| m.join().expect("watchdog monitor must not panic"));
+            (out, report)
+        })
     }
 }
 
@@ -252,8 +233,9 @@ impl ThreadComm {
         self.recv_timeout
     }
 
-    /// Send without statistics accounting (collective-internal traffic: the
-    /// IPM methodology charges collectives once, not per internal message).
+    /// Send without statistics accounting: `isend_f32` adds its own, and
+    /// collective-internal traffic has none (the IPM methodology charges
+    /// collectives once, not per internal message).
     fn send_raw(&mut self, dest: usize, tag: u32, payload: Payload) -> Result<(), CommError> {
         if dest >= self.size {
             return Err(CommError::InvalidRank {
@@ -269,17 +251,6 @@ impl ThreadComm {
         self.senders[dest]
             .send(msg)
             .map_err(|_| CommError::Disconnected { peer: dest })
-    }
-
-    fn send_message(&mut self, dest: usize, tag: u32, payload: Payload) -> Result<(), CommError> {
-        let bytes = match &payload {
-            Payload::F32(v) => v.len() * 4,
-            Payload::F64(v) => v.len() * 8,
-        };
-        self.send_raw(dest, tag, payload)?;
-        self.stats.on_send(tag, bytes);
-        self.stats.on_modeled(self.profile.message_time(bytes));
-        Ok(())
     }
 
     fn recv_message(&mut self, src: usize, tag: u32) -> Result<Message, CommError> {
@@ -326,8 +297,90 @@ impl ThreadComm {
             }
         }
     }
+}
 
-    fn allreduce_with(&mut self, x: f64, op: fn(f64, f64) -> f64) -> Result<f64, CommError> {
+impl Communicator for ThreadComm {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn size(&self) -> usize {
+        self.size
+    }
+
+    fn isend_f32(&mut self, dest: usize, tag: u32, data: Vec<f32>) -> Result<(), CommError> {
+        // Channels are buffered, so posting *is* completion of the local
+        // transfer: there is nothing left to wait on.
+        let _span = specfem_obs::span("comm.isend");
+        let t0 = Instant::now();
+        let bytes = data.len() * 4;
+        self.send_raw(dest, tag, Payload::F32(data))?;
+        self.stats.on_send(tag, bytes);
+        self.stats.on_modeled(self.profile.message_time(bytes));
+        let elapsed = t0.elapsed();
+        self.stats.on_post(elapsed);
+        self.stats.on_wall(elapsed);
+        Ok(())
+    }
+
+    fn irecv_f32(&mut self, src: usize, tag: u32) -> Result<Request, CommError> {
+        if src >= self.size {
+            return Err(CommError::InvalidRank {
+                rank: src,
+                size: self.size,
+            });
+        }
+        self.stats.on_post(Duration::ZERO);
+        Ok(Request::recv(src, tag))
+    }
+
+    fn wait(&mut self, req: Request) -> Result<Vec<f32>, CommError> {
+        let overlap = req.age();
+        let (src, tag) = (req.src(), req.tag());
+        let _span = specfem_obs::span("comm.wait");
+        let t0 = Instant::now();
+        let msg = self.recv_message(src, tag)?;
+        let blocked = t0.elapsed();
+        let bytes = msg.len_bytes();
+        self.stats.on_recv(bytes);
+        self.stats.on_modeled(self.profile.message_time(bytes));
+        self.stats.on_wall(blocked);
+        self.stats.on_wait(overlap, blocked);
+        specfem_obs::hist_record("comm.overlap_window_ns", overlap.as_nanos() as u64);
+        specfem_obs::hist_record("comm.recv_wait_ns", blocked.as_nanos() as u64);
+        match msg.payload {
+            Payload::F32(v) => Ok(v),
+            _ => Err(CommError::PayloadType { src, tag }),
+        }
+    }
+
+    fn barrier(&mut self) -> Result<(), CommError> {
+        // Message-based (gather to rank 0, then release) so the recv
+        // deadline applies: a dead rank turns the barrier into a Timeout
+        // naming the missing peer instead of an infinite hang.
+        let _span = specfem_obs::span("comm.barrier");
+        let t0 = Instant::now();
+        self.stats.collectives += 1;
+        self.stats
+            .on_modeled(self.profile.collective_time(self.size, 0));
+        if self.size > 1 {
+            if self.rank == 0 {
+                for src in 1..self.size {
+                    self.recv_message(src, tags::BARRIER)?;
+                }
+                for dest in 1..self.size {
+                    self.send_raw(dest, tags::BARRIER, Payload::F32(Vec::new()))?;
+                }
+            } else {
+                self.send_raw(0, tags::BARRIER, Payload::F32(Vec::new()))?;
+                self.recv_message(0, tags::BARRIER)?;
+            }
+        }
+        self.stats.on_wall(t0.elapsed());
+        Ok(())
+    }
+
+    fn allreduce(&mut self, x: f64, op: fn(f64, f64) -> f64) -> Result<f64, CommError> {
         let _span = specfem_obs::span("comm.allreduce");
         let t0 = Instant::now();
         self.stats.collectives += 1;
@@ -372,130 +425,6 @@ impl ThreadComm {
         self.stats.on_wall(t0.elapsed());
         Ok(result)
     }
-}
-
-impl Communicator for ThreadComm {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn send_f32(&mut self, dest: usize, tag: u32, data: &[f32]) -> Result<(), CommError> {
-        let _span = specfem_obs::span("comm.send");
-        let t0 = Instant::now();
-        self.send_message(dest, tag, Payload::F32(data.to_vec()))?;
-        self.stats.on_wall(t0.elapsed());
-        Ok(())
-    }
-
-    fn recv_f32(&mut self, src: usize, tag: u32) -> Result<Vec<f32>, CommError> {
-        let _span = specfem_obs::span("comm.recv");
-        let t0 = Instant::now();
-        let msg = self.recv_message(src, tag)?;
-        let waited = t0.elapsed();
-        let bytes = msg.len_bytes();
-        self.stats.on_recv(bytes);
-        self.stats.on_modeled(self.profile.message_time(bytes));
-        self.stats.on_wall(waited);
-        specfem_obs::hist_record("comm.recv_wait_ns", waited.as_nanos() as u64);
-        match msg.payload {
-            Payload::F32(v) => Ok(v),
-            _ => Err(CommError::PayloadType { src, tag }),
-        }
-    }
-
-    fn isend_f32(&mut self, dest: usize, tag: u32, data: &[f32]) -> Result<Request, CommError> {
-        // Channels are buffered, so posting *is* completion of the local
-        // transfer — the request only carries completion semantics (and the
-        // post timestamp the overlap-window measurement needs).
-        let _span = specfem_obs::span("comm.isend");
-        let t0 = Instant::now();
-        self.send_message(dest, tag, Payload::F32(data.to_vec()))?;
-        let elapsed = t0.elapsed();
-        self.stats.on_post(elapsed);
-        self.stats.on_wall(elapsed);
-        Ok(Request::send(dest, tag))
-    }
-
-    fn irecv_f32(&mut self, src: usize, tag: u32) -> Result<Request, CommError> {
-        if src >= self.size {
-            return Err(CommError::InvalidRank {
-                rank: src,
-                size: self.size,
-            });
-        }
-        let t0 = Instant::now();
-        self.stats.on_post(t0.elapsed());
-        Ok(Request::recv(src, tag))
-    }
-
-    fn wait(&mut self, req: Request) -> Result<Option<Vec<f32>>, CommError> {
-        let overlap = req.age();
-        match req.kind() {
-            RequestKind::Send { .. } => {
-                self.stats.on_wait(overlap, Duration::ZERO);
-                Ok(None)
-            }
-            RequestKind::Recv { src, tag } => {
-                let _span = specfem_obs::span("comm.wait");
-                let t0 = Instant::now();
-                let msg = self.recv_message(src, tag)?;
-                let blocked = t0.elapsed();
-                let bytes = msg.len_bytes();
-                self.stats.on_recv(bytes);
-                self.stats.on_modeled(self.profile.message_time(bytes));
-                self.stats.on_wall(blocked);
-                self.stats.on_wait(overlap, blocked);
-                specfem_obs::hist_record("comm.overlap_window_ns", overlap.as_nanos() as u64);
-                specfem_obs::hist_record("comm.wait_blocked_ns", blocked.as_nanos() as u64);
-                match msg.payload {
-                    Payload::F32(v) => Ok(Some(v)),
-                    _ => Err(CommError::PayloadType { src, tag }),
-                }
-            }
-        }
-    }
-
-    fn barrier(&mut self) -> Result<(), CommError> {
-        // Message-based (gather to rank 0, then release) so the recv
-        // deadline applies: a dead rank turns the barrier into a Timeout
-        // naming the missing peer instead of an infinite hang.
-        let _span = specfem_obs::span("comm.barrier");
-        let t0 = Instant::now();
-        self.stats.collectives += 1;
-        self.stats
-            .on_modeled(self.profile.collective_time(self.size, 0));
-        if self.size > 1 {
-            if self.rank == 0 {
-                for src in 1..self.size {
-                    self.recv_message(src, tags::BARRIER)?;
-                }
-                for dest in 1..self.size {
-                    self.send_raw(dest, tags::BARRIER, Payload::F32(Vec::new()))?;
-                }
-            } else {
-                self.send_raw(0, tags::BARRIER, Payload::F32(Vec::new()))?;
-                self.recv_message(0, tags::BARRIER)?;
-            }
-        }
-        self.stats.on_wall(t0.elapsed());
-        Ok(())
-    }
-
-    fn allreduce_sum(&mut self, x: f64) -> Result<f64, CommError> {
-        self.allreduce_with(x, |a, b| a + b)
-    }
-
-    fn allreduce_min(&mut self, x: f64) -> Result<f64, CommError> {
-        self.allreduce_with(x, f64::min)
-    }
-
-    fn allreduce_max(&mut self, x: f64) -> Result<f64, CommError> {
-        self.allreduce_with(x, f64::max)
-    }
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) {
         self.recv_timeout = timeout;
@@ -526,6 +455,7 @@ impl Communicator for ThreadComm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recv_now;
 
     #[test]
     fn ring_exchange() {
@@ -534,13 +464,12 @@ mod tests {
             let size = comm.size();
             let next = (rank + 1) % size;
             let prev = (rank + size - 1) % size;
-            comm.send_f32(next, 7, &[rank as f32; 3]).unwrap();
-            let got = comm.recv_f32(prev, 7).unwrap();
+            comm.isend_f32(next, 7, vec![rank as f32; 3]).unwrap();
+            let got = recv_now(&mut comm, prev, 7).unwrap();
             (prev, got)
         });
         for (rank, (prev, got)) in results.iter().enumerate() {
-            assert_eq!(got.len(), 3);
-            assert_eq!(got[0], *prev as f32, "rank {rank}");
+            assert_eq!(got, &vec![*prev as f32; 3], "rank {rank}");
         }
     }
 
@@ -566,12 +495,12 @@ mod tests {
         let results = ThreadWorld::run(2, NetworkProfile::loopback(), |mut comm| {
             if comm.rank() == 0 {
                 // Send tag 2 first, then tag 1; receiver asks for 1 first.
-                comm.send_f32(1, 2, &[2.0]).unwrap();
-                comm.send_f32(1, 1, &[1.0]).unwrap();
+                comm.isend_f32(1, 2, vec![2.0]).unwrap();
+                comm.isend_f32(1, 1, vec![1.0]).unwrap();
                 vec![]
             } else {
-                let a = comm.recv_f32(0, 1).unwrap();
-                let b = comm.recv_f32(0, 2).unwrap();
+                let a = recv_now(&mut comm, 0, 1).unwrap();
+                let b = recv_now(&mut comm, 0, 2).unwrap();
                 vec![a[0], b[0]]
             }
         });
@@ -587,24 +516,19 @@ mod tests {
             if comm.rank() == 0 {
                 // Interleave two tag streams; all of these get buffered on
                 // the receiver while it waits for the tag-9 flush marker.
-                comm.send_f32(1, 1, &[10.0]).unwrap();
-                comm.send_f32(1, 2, &[20.0]).unwrap();
-                comm.send_f32(1, 1, &[11.0]).unwrap();
-                comm.send_f32(1, 2, &[21.0]).unwrap();
-                comm.send_f32(1, 1, &[12.0]).unwrap();
-                comm.send_f32(1, 9, &[0.0]).unwrap();
+                for (tag, v) in [(1, 10.0), (2, 20.0), (1, 11.0), (2, 21.0), (1, 12.0)] {
+                    comm.isend_f32(1, tag, vec![v]).unwrap();
+                }
+                comm.isend_f32(1, 9, vec![0.0]).unwrap();
                 vec![]
             } else {
                 // Force every earlier message into `pending`...
-                let _ = comm.recv_f32(0, 9).unwrap();
+                recv_now(&mut comm, 0, 9).unwrap();
                 // ...then drain both streams: order within each (src, tag)
                 // must be the send order.
                 let mut got = Vec::new();
-                for _ in 0..3 {
-                    got.push(comm.recv_f32(0, 1).unwrap()[0]);
-                }
-                for _ in 0..2 {
-                    got.push(comm.recv_f32(0, 2).unwrap()[0]);
+                for tag in [1, 1, 1, 2, 2] {
+                    got.push(recv_now(&mut comm, 0, tag).unwrap()[0]);
                 }
                 got
             }
@@ -613,12 +537,35 @@ mod tests {
     }
 
     #[test]
+    fn requests_complete_in_post_order_per_src_tag() {
+        let results = ThreadWorld::run(2, NetworkProfile::loopback(), |mut comm| {
+            if comm.rank() == 0 {
+                comm.isend_f32(1, 1, vec![1.0]).unwrap();
+                comm.isend_f32(1, 2, vec![2.0]).unwrap();
+                comm.isend_f32(1, 1, vec![1.5]).unwrap();
+                vec![]
+            } else {
+                let reqs = vec![
+                    comm.irecv_f32(0, 1).unwrap(),
+                    comm.irecv_f32(0, 2).unwrap(),
+                    comm.irecv_f32(0, 1).unwrap(),
+                ];
+                reqs.into_iter()
+                    .map(|req| comm.wait(req).unwrap()[0])
+                    .collect()
+            }
+        });
+        // Same-(src, tag) requests complete in send order (FIFO).
+        assert_eq!(results[1], vec![1.0, 2.0, 1.5]);
+    }
+
+    #[test]
     fn recv_times_out_naming_src_and_tag() {
         let results = ThreadWorld::run(2, NetworkProfile::loopback(), |mut comm| {
             if comm.rank() == 1 {
                 comm.set_recv_timeout(Some(Duration::from_millis(50)));
                 // Nobody ever sends on tag 77.
-                Some(comm.recv_f32(0, 77).unwrap_err())
+                Some(recv_now(&mut comm, 0, 77).unwrap_err())
             } else {
                 None
             }
@@ -634,6 +581,49 @@ mod tests {
     }
 
     #[test]
+    fn wait_honours_recv_deadline() {
+        // The deadline is absolute from `wait` entry: messages on other
+        // tags arriving meanwhile are buffered without restarting it, and
+        // stay receivable afterwards.
+        let results = ThreadWorld::run(2, NetworkProfile::loopback(), |mut comm| {
+            if comm.rank() == 0 {
+                for i in 0..4 {
+                    std::thread::sleep(Duration::from_millis(30));
+                    comm.isend_f32(1, 5, vec![i as f32]).unwrap();
+                }
+                None
+            } else {
+                comm.set_recv_timeout(Some(Duration::from_millis(60)));
+                let req = comm.irecv_f32(0, 88).unwrap();
+                let t0 = Instant::now();
+                let err = comm.wait(req).unwrap_err();
+                let took = t0.elapsed();
+                comm.set_recv_timeout(Some(Duration::from_secs(10)));
+                let other: Vec<f32> = (0..4)
+                    .map(|_| recv_now(&mut comm, 0, 5).unwrap()[0])
+                    .collect();
+                Some((err, took, other))
+            }
+        });
+        let (err, took, other) = results[1].clone().unwrap();
+        assert!(
+            matches!(
+                err,
+                CommError::Timeout {
+                    src: 0,
+                    tag: 88,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        // Four unrelated arrivals 30 ms apart would stretch a restarting
+        // deadline to 180 ms.
+        assert!(took < Duration::from_millis(150), "{took:?}");
+        assert_eq!(other, vec![0.0, 1.0, 2.0, 3.0]);
+    }
+
+    #[test]
     fn wrong_payload_type_is_reported_not_panicked() {
         let results = ThreadWorld::run(2, NetworkProfile::loopback(), |mut comm| {
             if comm.rank() == 0 {
@@ -641,7 +631,7 @@ mod tests {
                 comm.send_raw(1, 5, Payload::F64(vec![1.0])).unwrap();
                 None
             } else {
-                Some(comm.recv_f32(0, 5))
+                Some(recv_now(&mut comm, 0, 5))
             }
         });
         assert_eq!(
@@ -653,9 +643,17 @@ mod tests {
     #[test]
     fn invalid_rank_is_an_error() {
         let results = ThreadWorld::run(2, NetworkProfile::loopback(), |mut comm| {
-            comm.send_f32(9, 0, &[1.0]).unwrap_err()
+            comm.isend_f32(9, 0, vec![1.0]).unwrap_err()
         });
         assert_eq!(results[0], CommError::InvalidRank { rank: 9, size: 2 });
+    }
+
+    #[test]
+    fn irecv_from_invalid_rank_fails_at_post() {
+        let results = ThreadWorld::run(2, NetworkProfile::loopback(), |mut comm| {
+            comm.irecv_f32(5, 0).unwrap_err()
+        });
+        assert_eq!(results[0], CommError::InvalidRank { rank: 5, size: 2 });
     }
 
     #[test]
@@ -694,15 +692,16 @@ mod tests {
     fn stats_track_bytes_and_modeled_time() {
         let results = ThreadWorld::run(2, NetworkProfile::ranger_infiniband(), |mut comm| {
             if comm.rank() == 0 {
-                comm.send_f32(1, 5, &[0.0; 1000]).unwrap();
+                comm.isend_f32(1, 5, vec![0.0; 1000]).unwrap();
             } else {
-                let _ = comm.recv_f32(0, 5).unwrap();
+                recv_now(&mut comm, 0, 5).unwrap();
             }
             comm.barrier().unwrap();
             comm.stats()
         });
         assert_eq!(results[0].bytes_sent, 4000);
         assert_eq!(results[0].messages_sent, 1);
+        assert_eq!(results[0].tag_traffic(5), (1, 4000));
         assert_eq!(results[1].bytes_received, 4000);
         assert!(results[0].modeled_time_s > 0.0);
         assert!(results[1].wall_time_s > 0.0);
@@ -712,9 +711,9 @@ mod tests {
     fn reset_stats_clears() {
         let results = ThreadWorld::run(2, NetworkProfile::loopback(), |mut comm| {
             if comm.rank() == 0 {
-                comm.send_f32(1, 9, &[1.0]).unwrap();
+                comm.isend_f32(1, 9, vec![1.0]).unwrap();
             } else {
-                let _ = comm.recv_f32(0, 9).unwrap();
+                recv_now(&mut comm, 0, 9).unwrap();
             }
             comm.reset_stats();
             comm.stats()
@@ -733,88 +732,16 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_ring_exchange_matches_blocking() {
-        let results = ThreadWorld::run(4, NetworkProfile::loopback(), |mut comm| {
-            let rank = comm.rank();
-            let size = comm.size();
-            let next = (rank + 1) % size;
-            let prev = (rank + size - 1) % size;
-            let sreq = comm.isend_f32(next, 7, &[rank as f32; 3]).unwrap();
-            let rreq = comm.irecv_f32(prev, 7).unwrap();
-            let got = comm.wait(rreq).unwrap().expect("recv yields data");
-            assert!(comm.wait(sreq).unwrap().is_none(), "send yields no data");
-            (prev, got)
-        });
-        for (rank, (prev, got)) in results.iter().enumerate() {
-            assert_eq!(got, &vec![*prev as f32; 3], "rank {rank}");
-        }
-    }
-
-    #[test]
-    fn wait_all_preserves_request_order() {
-        let results = ThreadWorld::run(2, NetworkProfile::loopback(), |mut comm| {
-            if comm.rank() == 0 {
-                comm.send_f32(1, 1, &[1.0]).unwrap();
-                comm.send_f32(1, 2, &[2.0]).unwrap();
-                comm.send_f32(1, 1, &[1.5]).unwrap();
-                vec![]
-            } else {
-                let reqs = vec![
-                    comm.irecv_f32(0, 1).unwrap(),
-                    comm.irecv_f32(0, 2).unwrap(),
-                    comm.irecv_f32(0, 1).unwrap(),
-                ];
-                comm.wait_all(reqs)
-                    .unwrap()
-                    .into_iter()
-                    .map(|d| d.unwrap()[0])
-                    .collect()
-            }
-        });
-        // Same-(src, tag) requests complete in send order (FIFO).
-        assert_eq!(results[1], vec![1.0, 2.0, 1.5]);
-    }
-
-    #[test]
-    fn wait_honours_recv_deadline() {
-        let results = ThreadWorld::run(2, NetworkProfile::loopback(), |mut comm| {
-            if comm.rank() == 1 {
-                comm.set_recv_timeout(Some(Duration::from_millis(50)));
-                let req = comm.irecv_f32(0, 88).unwrap();
-                Some(comm.wait(req).unwrap_err())
-            } else {
-                None
-            }
-        });
-        match results[1].clone().unwrap() {
-            CommError::Timeout { src, tag, .. } => {
-                assert_eq!(src, 0);
-                assert_eq!(tag, 88);
-            }
-            other => panic!("expected Timeout, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn irecv_from_invalid_rank_fails_at_post() {
-        let results = ThreadWorld::run(2, NetworkProfile::loopback(), |mut comm| {
-            comm.irecv_f32(5, 0).unwrap_err()
-        });
-        assert_eq!(results[0], CommError::InvalidRank { rank: 5, size: 2 });
-    }
-
-    #[test]
     fn stats_distinguish_post_overlap_and_wait() {
         let results = ThreadWorld::run(2, NetworkProfile::loopback(), |mut comm| {
             if comm.rank() == 0 {
-                let req = comm.isend_f32(1, 3, &[0.0; 64]).unwrap();
-                comm.wait(req).unwrap();
+                comm.isend_f32(1, 3, vec![0.0; 64]).unwrap();
             } else {
                 let req = comm.irecv_f32(0, 3).unwrap();
                 // Simulated "inner computation" — this interval must show
                 // up as overlap, not wait.
                 std::thread::sleep(Duration::from_millis(20));
-                let _ = comm.wait(req).unwrap();
+                comm.wait(req).unwrap();
             }
             comm.stats()
         });
@@ -830,21 +757,26 @@ mod tests {
         );
     }
 
+    fn watched(timeout: Duration, poll: Duration) -> Option<WatchdogConfig> {
+        Some(WatchdogConfig {
+            timeout,
+            poll_interval: Some(poll),
+            escalate: true,
+        })
+    }
+
     #[test]
     fn watched_healthy_world_reports_no_stall() {
-        let config = WatchdogConfig {
-            timeout: Duration::from_secs(5),
-            poll_interval: Some(Duration::from_millis(2)),
-            escalate: true,
-        };
+        let config = watched(Duration::from_secs(5), Duration::from_millis(2));
         let (results, report) =
-            ThreadWorld::try_run_watched(3, NetworkProfile::loopback(), config, |mut comm| {
+            ThreadWorld::launch(3, NetworkProfile::loopback(), config, |mut comm| {
                 for istep in 0..20 {
                     comm.on_time_step(istep)?;
                     comm.barrier()?;
                 }
                 Ok::<usize, CommError>(comm.rank())
             });
+        let report = report.expect("a watched launch returns the monitor's report");
         for (rank, r) in results.iter().enumerate() {
             assert_eq!(*r.as_ref().unwrap().as_ref().unwrap(), rank);
         }
@@ -856,13 +788,9 @@ mod tests {
 
     #[test]
     fn watched_world_escalates_a_stalled_rank() {
-        let config = WatchdogConfig {
-            timeout: Duration::from_millis(40),
-            poll_interval: Some(Duration::from_millis(5)),
-            escalate: true,
-        };
+        let config = watched(Duration::from_millis(40), Duration::from_millis(5));
         let (results, report) =
-            ThreadWorld::try_run_watched(3, NetworkProfile::loopback(), config, |mut comm| {
+            ThreadWorld::launch(3, NetworkProfile::loopback(), config, |mut comm| {
                 let rank = comm.rank();
                 for istep in 0..1000 {
                     comm.on_time_step(istep)?;
@@ -873,6 +801,7 @@ mod tests {
                 }
                 Ok::<usize, CommError>(rank)
             });
+        let report = report.expect("a watched launch returns the monitor's report");
         assert!(report.stalled(), "{report:?}");
         assert_eq!(report.stalls[0].rank, 1);
         // The healthy ranks abort with the typed stall error naming the
@@ -891,13 +820,16 @@ mod tests {
 
     #[test]
     fn unwatched_comm_on_time_step_is_a_no_op() {
-        let results = ThreadWorld::run(2, NetworkProfile::loopback(), |mut comm| {
-            for istep in 0..5 {
-                comm.on_time_step(istep).unwrap();
-            }
-            comm.rank()
-        });
-        assert_eq!(results, vec![0, 1]);
+        let (results, report) =
+            ThreadWorld::launch(2, NetworkProfile::loopback(), None, |mut comm| {
+                for istep in 0..5 {
+                    comm.on_time_step(istep).unwrap();
+                }
+                comm.rank()
+            });
+        assert!(report.is_none());
+        let ranks: Vec<usize> = results.into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(ranks, vec![0, 1]);
     }
 
     #[test]
@@ -908,14 +840,14 @@ mod tests {
             let rank = comm.rank();
             for dest in 0..n {
                 if dest != rank {
-                    comm.send_f32(dest, 50, &vec![rank as f32; rank + 1])
+                    comm.isend_f32(dest, 50, vec![rank as f32; rank + 1])
                         .unwrap();
                 }
             }
             let mut total = 0.0f32;
             for src in 0..n {
                 if src != rank {
-                    let v = comm.recv_f32(src, 50).unwrap();
+                    let v = recv_now(&mut comm, src, 50).unwrap();
                     assert_eq!(v.len(), src + 1);
                     total += v.iter().sum::<f32>();
                 }

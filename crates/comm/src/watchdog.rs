@@ -7,7 +7,7 @@
 //! instrument for that: every rank advances a heartbeat (two relaxed
 //! atomic stores — step number and timestamp — per time step, nothing
 //! at all when disabled), and a monitor thread owned by
-//! [`ThreadWorld::try_run_watched`](crate::ThreadWorld::try_run_watched)
+//! [`ThreadWorld::launch`](crate::ThreadWorld::launch)
 //! polls the heartbeats, computes cross-rank step skew, emits gauges
 //! (`watchdog.max_skew_steps`, per-rank `watchdog.rank<N>.last_step`),
 //! and flags ranks whose heartbeat age exceeds the configured timeout.

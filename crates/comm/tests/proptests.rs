@@ -108,7 +108,7 @@ proptest! {
                 for tag in 0..ntags {
                     for seq in 0..k {
                         let v = (rank * 10_000 + tag as usize * 100 + seq) as f32;
-                        comm.isend_f32(dest, tag, &[v]).unwrap();
+                        comm.isend_f32(dest, tag, vec![v]).unwrap();
                     }
                 }
             }
@@ -134,9 +134,9 @@ proptest! {
             let mut got: Vec<(usize, u32, f32)> = Vec::new();
             for &i in &shuffled_indices(reqs.len(), &wait_keys2) {
                 let req = reqs[i].clone();
-                let (peer, tag) = (req.peer(), req.tag());
-                let data = comm.wait(req).unwrap().unwrap();
-                got.push((peer, tag, data[0]));
+                let (src, tag) = (req.src(), req.tag());
+                let data = comm.wait(req).unwrap();
+                got.push((src, tag, data[0]));
             }
             got
         });
@@ -208,13 +208,14 @@ proptest! {
                 if dest != rank {
                     let payload: Vec<f32> =
                         (0..len).map(|i| (rank * 1000 + i) as f32).collect();
-                    comm.send_f32(dest, base_tag + dest as u32, &payload).unwrap();
+                    comm.isend_f32(dest, base_tag + dest as u32, payload).unwrap();
                 }
             }
             let mut ok = true;
             for src in 0..n {
                 if src != rank {
-                    let got = comm.recv_f32(src, base_tag + rank as u32).unwrap();
+                    let req = comm.irecv_f32(src, base_tag + rank as u32).unwrap();
+                    let got = comm.wait(req).unwrap();
                     ok &= got.len() == len
                         && got.iter().enumerate().all(|(i, &v)| v == (src * 1000 + i) as f32);
                 }

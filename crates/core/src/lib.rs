@@ -451,22 +451,6 @@ impl Simulation {
         }))
     }
 
-    /// [`Simulation::run_parallel`] against a prebuilt mesh. The mesh must
-    /// match this simulation's full key, decomposition included.
-    pub fn run_parallel_with_mesh(
-        &self,
-        mesh: &GlobalMesh,
-        profile: NetworkProfile,
-    ) -> SimulationResult {
-        expect_run(self.try_run_with_mesh(
-            mesh,
-            RunOptions {
-                profile: Some(profile),
-                ..RunOptions::default()
-            },
-        ))
-    }
-
     /// Fault-tolerant run against a prebuilt mesh with typed errors — the
     /// one-lane case of [`run_group`]. `opts.profile = None` runs the whole
     /// mesh on one in-process rank (the merged serial path, fault plan and

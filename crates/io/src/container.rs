@@ -16,10 +16,9 @@
 //! dir      count u32, then per chunk: name len u16 | name | offset u64 | len u64 | CRC-32 u32
 //! ```
 //!
-//! Every chunk carries its own CRC-32 (same IEEE polynomial as
-//! `specfem_solver::checkpoint::crc32`), so a bit flip is pinned to a named
-//! chunk with expected-vs-actual checksums instead of poisoning the whole
-//! file; the directory is checksummed separately so a torn footer is a
+//! Every chunk carries its own CRC-32 (IEEE polynomial), so a bit flip is
+//! pinned to a named chunk with expected-vs-actual checksums instead of
+//! poisoning the whole file; the directory is checksummed separately so a torn footer is a
 //! typed error too. Writers stream chunk bytes straight to the backing
 //! `Write` — the container is never buffered whole in memory — and readers
 //! seek to one chunk at a time.
@@ -133,9 +132,8 @@ pub(crate) fn io_err(file: &str, context: &str, e: std::io::Error) -> ArtifactEr
     }
 }
 
-/// Incremental CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) — same
-/// polynomial as `specfem_solver::checkpoint::crc32`, usable over streamed
-/// chunk writes.
+/// Incremental CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), usable
+/// over streamed chunk writes.
 #[derive(Debug, Clone)]
 pub struct Crc32(u32);
 

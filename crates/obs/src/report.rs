@@ -28,7 +28,6 @@ pub fn tag_name(tag: u32) -> &'static str {
         200 => "reduce",
         201 => "bcast",
         202 => "barrier",
-        300 => "mesh_handoff",
         _ => "",
     }
 }

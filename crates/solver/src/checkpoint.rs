@@ -14,22 +14,13 @@
 //! restart, and the rank-order deterministic reductions make a resumed run
 //! **bit-identical** to an uninterrupted one.
 //!
-//! The on-disk format is versioned and checksummed: `"SFCK"` magic, format
-//! version, little-endian body, trailing CRC-32 (IEEE) over everything
-//! before it. Torn or corrupted files are rejected at decode, never
-//! silently restored.
+//! This module only defines the state and the [`CheckpointSink`] the time
+//! loop hands it to; the durable format (one merged, chunk-checksummed
+//! `.sfcc` container per generation) lives in `specfem-io`.
 
 use std::fmt;
 
-/// Current on-disk format version. Version 2 added the local→global point
-/// and element maps, making every state self-describing enough for a
-/// *different* world size to consume it (rank-count-independent restart).
-pub const FORMAT_VERSION: u32 = 2;
-
-/// File magic: "SFCK" = SpecFem ChecKpoint.
-pub const MAGIC: [u8; 4] = *b"SFCK";
-
-/// A checkpoint failure (encode, decode, or state mismatch).
+/// A checkpoint failure (capture, storage, restore, or state mismatch).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointError(pub String);
 
@@ -87,261 +78,8 @@ pub struct CheckpointState {
     pub flops: u64,
 }
 
-/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) — the checksum guarding
-/// every checkpoint file.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32_slice(out: &mut Vec<u8>, v: &[f32]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_u32_slice(out: &mut Vec<u8>, v: &[u32]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.buf.len() {
-            return Err(CheckpointError(format!(
-                "truncated checkpoint: need {} bytes at offset {}, have {}",
-                n,
-                self.pos,
-                self.buf.len() - self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f32_vec(&mut self) -> Result<Vec<f32>, CheckpointError> {
-        let n = self.u64()? as usize;
-        let raw = self.take(n * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    fn u32_vec(&mut self) -> Result<Vec<u32>, CheckpointError> {
-        let n = self.u64()? as usize;
-        let raw = self.take(n * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-}
-
-impl CheckpointState {
-    /// Serialize to the versioned, checksummed binary format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        put_u32(&mut out, FORMAT_VERSION);
-        put_u64(&mut out, self.rank as u64);
-        put_u64(&mut out, self.nranks as u64);
-        put_u64(&mut out, self.next_step as u64);
-        put_f64(&mut out, self.dt);
-        put_u64(&mut out, self.nglob as u64);
-        put_u32_slice(&mut out, &self.global_ids);
-        put_u32_slice(&mut out, &self.element_global);
-        put_f32_slice(&mut out, &self.displ);
-        put_f32_slice(&mut out, &self.veloc);
-        put_f32_slice(&mut out, &self.accel);
-        put_f32_slice(&mut out, &self.chi);
-        put_f32_slice(&mut out, &self.chi_dot);
-        put_f32_slice(&mut out, &self.chi_ddot);
-        match &self.atten_memory {
-            Some(m) => {
-                out.push(1);
-                put_f32_slice(&mut out, m);
-            }
-            None => out.push(0),
-        }
-        put_u64(&mut out, self.records.len() as u64);
-        for (name, samples) in &self.records {
-            put_u64(&mut out, name.len() as u64);
-            out.extend_from_slice(name.as_bytes());
-            put_u64(&mut out, samples.len() as u64);
-            for s in samples {
-                for &c in s {
-                    out.extend_from_slice(&c.to_le_bytes());
-                }
-            }
-        }
-        put_u64(&mut out, self.energy.len() as u64);
-        for &(step, ke, pe) in &self.energy {
-            put_u64(&mut out, step as u64);
-            put_f64(&mut out, ke);
-            put_f64(&mut out, pe);
-        }
-        put_u64(&mut out, self.snapshots.len() as u64);
-        for s in &self.snapshots {
-            put_f32_slice(&mut out, s);
-        }
-        put_u64(&mut out, self.flops);
-        let crc = crc32(&out);
-        put_u32(&mut out, crc);
-        out
-    }
-
-    /// Deserialize, rejecting bad magic, unknown versions, truncation, and
-    /// checksum mismatches.
-    pub fn decode(buf: &[u8]) -> Result<Self, CheckpointError> {
-        if buf.len() < MAGIC.len() + 8 {
-            return Err(CheckpointError(format!(
-                "file too short ({} bytes) to be a checkpoint",
-                buf.len()
-            )));
-        }
-        let (body, crc_bytes) = buf.split_at(buf.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        let computed = crc32(body);
-        if stored != computed {
-            return Err(CheckpointError(format!(
-                "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            )));
-        }
-        let mut r = Reader { buf: body, pos: 0 };
-        let magic = r.take(4)?;
-        if magic != MAGIC {
-            return Err(CheckpointError(format!("bad magic {magic:?}")));
-        }
-        let version = r.u32()?;
-        if version != FORMAT_VERSION {
-            return Err(CheckpointError(format!(
-                "unsupported format version {version} (this build reads {FORMAT_VERSION})"
-            )));
-        }
-        let rank = r.u64()? as usize;
-        let nranks = r.u64()? as usize;
-        let next_step = r.u64()? as usize;
-        let dt = r.f64()?;
-        let nglob = r.u64()? as usize;
-        let global_ids = r.u32_vec()?;
-        let element_global = r.u32_vec()?;
-        let displ = r.f32_vec()?;
-        let veloc = r.f32_vec()?;
-        let accel = r.f32_vec()?;
-        let chi = r.f32_vec()?;
-        let chi_dot = r.f32_vec()?;
-        let chi_ddot = r.f32_vec()?;
-        let atten_memory = match r.take(1)?[0] {
-            0 => None,
-            1 => Some(r.f32_vec()?),
-            b => return Err(CheckpointError(format!("bad attenuation flag {b}"))),
-        };
-        let nrec = r.u64()? as usize;
-        let mut records = Vec::with_capacity(nrec);
-        for _ in 0..nrec {
-            let namelen = r.u64()? as usize;
-            let name = String::from_utf8(r.take(namelen)?.to_vec())
-                .map_err(|e| CheckpointError(format!("bad station name: {e}")))?;
-            let nsamp = r.u64()? as usize;
-            let raw = r.take(nsamp * 12)?;
-            let samples = raw
-                .chunks_exact(12)
-                .map(|c| {
-                    [
-                        f32::from_le_bytes(c[0..4].try_into().unwrap()),
-                        f32::from_le_bytes(c[4..8].try_into().unwrap()),
-                        f32::from_le_bytes(c[8..12].try_into().unwrap()),
-                    ]
-                })
-                .collect();
-            records.push((name, samples));
-        }
-        let nen = r.u64()? as usize;
-        let mut energy = Vec::with_capacity(nen);
-        for _ in 0..nen {
-            let step = r.u64()? as usize;
-            let ke = r.f64()?;
-            let pe = r.f64()?;
-            energy.push((step, ke, pe));
-        }
-        let nsnap = r.u64()? as usize;
-        let mut snapshots = Vec::with_capacity(nsnap);
-        for _ in 0..nsnap {
-            snapshots.push(r.f32_vec()?);
-        }
-        let flops = r.u64()?;
-        if r.pos != body.len() {
-            return Err(CheckpointError(format!(
-                "{} trailing bytes after checkpoint body",
-                body.len() - r.pos
-            )));
-        }
-        Ok(Self {
-            rank,
-            nranks,
-            next_step,
-            dt,
-            nglob,
-            global_ids,
-            element_global,
-            displ,
-            veloc,
-            accel,
-            chi,
-            chi_dot,
-            chi_ddot,
-            atten_memory,
-            records,
-            energy,
-            snapshots,
-            flops,
-        })
-    }
-}
-
 /// Destination for checkpoints produced inside the time loop. The storage
-/// backend (per-rank files with atomic rename) lives in `specfem-io`; the
+/// backend (merged `.sfcc` containers, atomic rename) lives in `specfem-io`; the
 /// solver only knows this trait so the dependency arrow keeps pointing
 /// io → solver.
 pub trait CheckpointSink: Send {
@@ -350,7 +88,7 @@ pub trait CheckpointSink: Send {
 }
 
 /// A sink that keeps checkpoints in memory — used by tests and by the
-/// ablation harness to measure pure serialization cost.
+/// ablation harness to measure pure capture cost.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     /// Every state written, in write order.
@@ -405,55 +143,6 @@ mod tests {
             snapshots: vec![vec![1.0; 12]],
             flops: 123_456_789_012,
         }
-    }
-
-    #[test]
-    fn roundtrip_is_lossless() {
-        let state = sample_state();
-        let bytes = state.encode();
-        let back = CheckpointState::decode(&bytes).unwrap();
-        assert_eq!(state, back);
-    }
-
-    #[test]
-    fn corruption_is_detected() {
-        let state = sample_state();
-        let mut bytes = state.encode();
-        // Flip one bit in the middle of the body.
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        let err = CheckpointState::decode(&bytes).unwrap_err();
-        assert!(err.0.contains("checksum"), "{err}");
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let state = sample_state();
-        let bytes = state.encode();
-        let err = CheckpointState::decode(&bytes[..bytes.len() - 9]).unwrap_err();
-        // Either the CRC no longer matches or a read runs off the end —
-        // both must be errors, never a partial state.
-        assert!(!err.0.is_empty());
-    }
-
-    #[test]
-    fn wrong_version_is_rejected() {
-        let state = sample_state();
-        let mut bytes = state.encode();
-        // Patch the version field (offset 4) and re-seal the CRC.
-        bytes[4] = 99;
-        let n = bytes.len();
-        let crc = crc32(&bytes[..n - 4]);
-        bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        let err = CheckpointState::decode(&bytes).unwrap_err();
-        assert!(err.0.contains("version"), "{err}");
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // Standard test vector: CRC-32("123456789") = 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -1386,14 +1386,10 @@ pub fn try_run_partitioned_lanes(
             capture_final_state,
         )
     };
-    let (raw, watchdog) = match config.watchdog_timeout {
-        Some(timeout) => {
-            let wd = specfem_comm::WatchdogConfig::new(timeout);
-            let (raw, report) = ThreadWorld::try_run_watched(nranks, profile, wd, rank_main);
-            (raw, Some(report))
-        }
-        None => (ThreadWorld::try_run(nranks, profile, rank_main), None),
-    };
+    let watchdog = config
+        .watchdog_timeout
+        .map(specfem_comm::WatchdogConfig::new);
+    let (raw, watchdog) = ThreadWorld::launch(nranks, profile, watchdog, rank_main);
     let results = raw
         .into_iter()
         .map(|r| match r {
@@ -1653,6 +1649,40 @@ mod tests {
         for r in &results {
             assert!(r.comm.bytes_sent > 0, "rank {} sent nothing", r.rank);
             assert!(r.comm.modeled_time_s > 0.0);
+        }
+    }
+
+    #[test]
+    fn main_loop_traffic_of_a_fixed_run_is_pinned() {
+        // NEX 4 on 6 ranks, 5 steps, either halo schedule: two exchanges
+        // per step, one message per neighbour each (26 directed neighbour
+        // pairs). The literals were recorded before the comm layer was
+        // reduced to one point-to-point protocol, so they assert that
+        // reshaping it moved no message. Set-up traffic (mass-matrix and
+        // ocean-load assembly, the dt reduction) is excluded by the stats
+        // reset at loop entry.
+        let mesh = prem_mesh(4, 1);
+        for overlap in [true, false] {
+            let config = SolverConfig {
+                overlap,
+                ..small_config(5)
+            };
+            let results = run_distributed(
+                &mesh,
+                &config,
+                &[],
+                specfem_comm::NetworkProfile::loopback(),
+            );
+            let snaps: Vec<_> = results.iter().map(|r| r.comm.clone()).collect();
+            let total = StatsSnapshot::total(&snaps);
+            assert_eq!(total.messages_sent, 260);
+            assert_eq!(total.bytes_sent, 1_166_880);
+            assert_eq!(total.bytes_received, 1_166_880);
+            assert_eq!(total.posts, 520);
+            assert_eq!(total.collectives, 6);
+            assert_eq!(total.tag_traffic(tags::HALO_SOLID), (130, 875_160));
+            assert_eq!(total.tag_traffic(tags::HALO_FLUID), (130, 291_720));
+            assert_eq!(total.per_tag.len(), 2);
         }
     }
 }

@@ -1,11 +1,11 @@
-//! Fault-tolerance integration tests: checkpoint codec round-trips under
-//! random states, and a killed-then-resumed distributed run reproduces the
-//! uninterrupted run bit-for-bit.
+//! Fault-tolerance integration tests: a killed-then-resumed distributed run
+//! reproduces the uninterrupted run bit-for-bit. (The durable checkpoint
+//! format's own round-trip and corruption properties are tested next to it,
+//! in `specfem-io`.)
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use proptest::prelude::*;
 use specfem_comm::{FaultPlan, NetworkProfile};
 use specfem_mesh::stations::Station;
 use specfem_mesh::{GlobalMesh, LocalMesh, MeshParams};
@@ -15,103 +15,6 @@ use specfem_solver::timeloop::merge_seismograms;
 use specfem_solver::{
     run_distributed, try_run_distributed, FtOptions, SolverConfig, SolverError, SourceSpec,
 };
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Arbitrary checkpoint states survive encode → decode losslessly
-    /// (bit-level: f32/f64 payloads compared through their bit patterns).
-    #[test]
-    fn checkpoint_roundtrip_is_lossless(
-        nglob in 1usize..40,
-        rank in 0usize..8,
-        next_step in 0usize..100_000,
-        dt in 1e-3f64..10.0,
-        seed_vals in prop::collection::vec(-1e12f32..1e12, 1..40),
-        with_atten in any::<bool>(),
-        flops in any::<u64>(),
-    ) {
-        let v = |scale: f32, len: usize| -> Vec<f32> {
-            (0..len)
-                .map(|i| seed_vals[i % seed_vals.len()] * scale + i as f32)
-                .collect()
-        };
-        let state = CheckpointState {
-            rank,
-            nranks: 8,
-            next_step,
-            dt,
-            nglob,
-            global_ids: (0..nglob as u32).rev().collect(),
-            element_global: vec![nglob as u32, 0],
-            displ: v(1.0, nglob * 3),
-            veloc: v(0.5, nglob * 3),
-            accel: v(-2.0, nglob * 3),
-            chi: v(3.0, nglob),
-            chi_dot: v(-0.25, nglob),
-            chi_ddot: v(7.0, nglob),
-            atten_memory: with_atten.then(|| v(0.125, nglob * 5)),
-            records: vec![
-                ("AAK".to_string(), vec![[1.0, -2.0, 3.5]; 4]),
-                ("BORG".to_string(), vec![[0.0, f32::MIN_POSITIVE, -0.0]; 2]),
-            ],
-            energy: vec![(0, 1.5, -2.5), (10, 3.25, 4.75)],
-            snapshots: vec![v(0.0625, nglob * 3)],
-            flops,
-        };
-        let decoded = CheckpointState::decode(&state.encode())
-            .expect("decode of a fresh encode");
-        prop_assert_eq!(decoded.rank, state.rank);
-        prop_assert_eq!(decoded.next_step, state.next_step);
-        prop_assert_eq!(decoded.dt.to_bits(), state.dt.to_bits());
-        let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&decoded.displ), bits(&state.displ));
-        prop_assert_eq!(bits(&decoded.veloc), bits(&state.veloc));
-        prop_assert_eq!(bits(&decoded.accel), bits(&state.accel));
-        prop_assert_eq!(bits(&decoded.chi), bits(&state.chi));
-        prop_assert_eq!(decoded.atten_memory.is_some(), with_atten);
-        prop_assert_eq!(decoded.records.len(), 2);
-        prop_assert_eq!(decoded.records[1].1[0][1].to_bits(),
-            f32::MIN_POSITIVE.to_bits());
-        prop_assert_eq!(decoded.energy, state.energy);
-        prop_assert_eq!(decoded.flops, state.flops);
-        prop_assert_eq!(decoded.global_ids, state.global_ids);
-        prop_assert_eq!(decoded.element_global, state.element_global);
-    }
-
-    /// Flipping any single byte of an encoded checkpoint is detected.
-    #[test]
-    fn checkpoint_corruption_never_decodes(
-        flip_pos in 0.0f64..1.0,
-        flip_mask in 1u8..=255,
-    ) {
-        let state = CheckpointState {
-            rank: 1,
-            nranks: 4,
-            next_step: 50,
-            dt: 0.125,
-            nglob: 3,
-            global_ids: vec![2, 0, 1],
-            element_global: vec![4],
-            displ: vec![1.0; 9],
-            veloc: vec![2.0; 9],
-            accel: vec![3.0; 9],
-            chi: vec![4.0; 3],
-            chi_dot: vec![5.0; 3],
-            chi_ddot: vec![6.0; 3],
-            atten_memory: Some(vec![7.0; 15]),
-            records: vec![("X".to_string(), vec![[1.0, 2.0, 3.0]])],
-            energy: vec![(5, 1.0, 2.0)],
-            snapshots: vec![],
-            flops: 99,
-        };
-        let mut bytes = state.encode();
-        let pos = ((bytes.len() - 1) as f64 * flip_pos) as usize;
-        bytes[pos] ^= flip_mask;
-        prop_assert!(CheckpointState::decode(&bytes).is_err(),
-            "flipped byte {} must fail the CRC or a structural check", pos);
-    }
-}
 
 /// In-memory per-rank checkpoint store shared across the thread world —
 /// the `CheckpointStore` shape without touching disk.
