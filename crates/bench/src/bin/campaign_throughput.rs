@@ -306,8 +306,8 @@ fn main() {
     let speedup = baseline_s / campaign_s;
     println!("speedup       : {speedup:>8.2}x");
     println!(
-        "mesh cache    : {} miss, {} hit, {} derived, {} disk",
-        result.cache.misses, result.cache.hits, result.cache.derived_hits, result.cache.disk_hits
+        "mesh cache    : {} miss, {} hit, {} derived",
+        result.cache.misses, result.cache.hits, result.cache.derived_hits
     );
 
     if !result.all_ok() {

@@ -28,7 +28,7 @@ fn measure(cache: &MeshCache, nex: usize, nproc: usize, nsteps: usize) -> (usize
 fn main() {
     println!("== Figure 6: total communication time (all cores) vs processor count ==");
     let nsteps = 40;
-    let cache = MeshCache::new(0, None);
+    let cache = MeshCache::new(0);
     for (label, nex, procs) in [
         ("low res (NEX 8)", 8usize, vec![1usize, 2, 4]),
         ("high res (NEX 12)", 12, vec![1, 2, 3]),

@@ -30,7 +30,7 @@ fn total_core_seconds(cache: &MeshCache, nex: usize) -> f64 {
 
 fn main() {
     println!("== Figure 7: totaled execution time vs resolution (normalized) ==");
-    let cache = MeshCache::new(0, None);
+    let cache = MeshCache::new(0);
     let nexes = [4usize, 6, 8, 10, 12];
     let mut samples = Vec::new();
     println!("{:>6} {:>12} {:>14}", "NEX", "steps", "core-sec");

@@ -7,17 +7,18 @@
 //! [`GlobalMesh`]es by their [`MeshKey`] fingerprint so concurrent jobs
 //! that share a mesh build it once and share it through an `Arc`.
 //!
-//! Three kinds of hit:
+//! Two kinds of hit:
 //!
 //! * **exact** — same full key, the `Arc` is handed out as-is;
 //! * **derived** — same *geometry* fingerprint, different decomposition
-//!   knobs (`NPROC_XI`, cube assignment, element order). The mesher
-//!   provably never reads those during geometry/numbering/materials, so
-//!   the cached mesh is cloned and re-stamped with the requester's
-//!   parameters instead of rebuilt — this is what lets the Figure 6
-//!   harness build one mesh per resolution and sweep rank counts;
-//! * **disk** — a CRC-validated artifact from a previous process via
-//!   [`MeshArtifactStore`].
+//!   knobs (`NPROC_XI`, element order). The mesher provably never reads
+//!   those during geometry/numbering/materials, so the cached mesh is
+//!   cloned and re-stamped with the requester's parameters instead of
+//!   rebuilt — this is what lets the Figure 6 harness build one mesh per
+//!   resolution and sweep rank counts.
+//!
+//! The cache is memory-only: a whole NEX 8 set-up, mesh build included, is
+//! faster than reading the same mesh back from a checksummed artifact.
 //!
 //! Admission control enforces a byte budget: a build waits until evicting
 //! idle (`Arc` refcount 1) entries frees room, with a progress guarantee —
@@ -27,7 +28,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-use specfem_io::MeshArtifactStore;
 use specfem_mesh::{GlobalMesh, MeshKey, MeshParams};
 
 /// How a job's mesh request was satisfied.
@@ -38,8 +38,6 @@ pub enum CacheOutcome {
     /// Same geometry resident under different decomposition knobs;
     /// cloned and re-stamped instead of rebuilt.
     DerivedHit,
-    /// Loaded from the on-disk artifact tier.
-    DiskHit,
     /// Built from scratch.
     Miss,
 }
@@ -50,7 +48,6 @@ impl CacheOutcome {
         match self {
             CacheOutcome::Hit => "hit",
             CacheOutcome::DerivedHit => "derived_hit",
-            CacheOutcome::DiskHit => "disk_hit",
             CacheOutcome::Miss => "miss",
         }
     }
@@ -63,8 +60,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Geometry hits served by clone + re-stamp.
     pub derived_hits: u64,
-    /// Hits served from the disk artifact tier.
-    pub disk_hits: u64,
     /// Full builds.
     pub misses: u64,
     /// Entries evicted to satisfy the byte budget.
@@ -74,7 +69,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Every request that avoided a full mesh build.
     pub fn total_hits(&self) -> u64 {
-        self.hits + self.derived_hits + self.disk_hits
+        self.hits + self.derived_hits
     }
 }
 
@@ -161,18 +156,15 @@ pub struct MeshCache {
     cond: Condvar,
     /// Resident-byte ceiling; 0 = unbounded.
     budget: usize,
-    disk: Option<MeshArtifactStore>,
 }
 
 impl MeshCache {
-    /// An in-memory cache with the given byte budget (0 = unbounded) and
-    /// an optional on-disk artifact tier.
-    pub fn new(budget_bytes: usize, disk: Option<MeshArtifactStore>) -> Self {
+    /// An in-memory cache with the given byte budget (0 = unbounded).
+    pub fn new(budget_bytes: usize) -> Self {
         Self {
             inner: Mutex::new(Inner::default()),
             cond: Condvar::new(),
             budget: budget_bytes,
-            disk,
         }
     }
 
@@ -184,17 +176,6 @@ impl MeshCache {
     /// Bytes currently resident.
     pub fn resident_bytes(&self) -> usize {
         self.inner.lock().unwrap().resident_bytes
-    }
-
-    /// Whether a mesh with this geometry fingerprint is resident or being
-    /// built — the mesh-affinity scheduling signal.
-    pub fn contains_geometry(&self, geometry_fingerprint: u64) -> bool {
-        let inner = self.inner.lock().unwrap();
-        inner
-            .entries
-            .keys()
-            .chain(inner.building.iter())
-            .any(|k| k.geometry_fingerprint() == geometry_fingerprint)
     }
 
     /// Wake admission-control waiters; the campaign calls this whenever a
@@ -270,40 +251,16 @@ impl MeshCache {
             }
             drop(inner);
 
-            let (mesh, outcome) = self.load_or_build(key, build);
+            let mesh = build();
             let bytes = mesh.approx_bytes();
             let mesh = Arc::new(mesh);
             let mut inner = self.inner.lock().unwrap();
             inner.insert(key.clone(), mesh.clone(), bytes);
-            match outcome {
-                CacheOutcome::DiskHit => inner.stats.disk_hits += 1,
-                _ => inner.stats.misses += 1,
-            }
+            inner.stats.misses += 1;
             drop(inner);
             drop(claim);
-            return (mesh, outcome);
+            return (mesh, CacheOutcome::Miss);
         }
-    }
-
-    /// The slow path, run without the lock: disk tier first, else build
-    /// (persisting the result back to disk, best-effort).
-    fn load_or_build(
-        &self,
-        key: &MeshKey,
-        build: impl FnOnce() -> GlobalMesh,
-    ) -> (GlobalMesh, CacheOutcome) {
-        if let Some(store) = &self.disk {
-            // Corrupt artifacts are evicted and counted by the shared
-            // fallback walk inside `load_or_evict`; a miss means rebuild.
-            if let Some(mesh) = store.load_or_evict(key) {
-                return (mesh, CacheOutcome::DiskHit);
-            }
-        }
-        let mesh = build();
-        if let Some(store) = &self.disk {
-            let _ = store.save(key, &mesh);
-        }
-        (mesh, CacheOutcome::Miss)
     }
 }
 
@@ -324,7 +281,7 @@ mod tests {
 
     #[test]
     fn exact_hit_shares_one_arc() {
-        let cache = MeshCache::new(0, None);
+        let cache = MeshCache::new(0);
         let (key, params) = build_params(4, 1);
         let (m1, o1) = cache.get_or_build(&key, &params, 0, || build_mesh(&params));
         let (m2, o2) = cache.get_or_build(&key, &params, 0, || panic!("must not rebuild"));
@@ -337,7 +294,7 @@ mod tests {
 
     #[test]
     fn different_nproc_is_a_derived_hit_with_restamped_params() {
-        let cache = MeshCache::new(0, None);
+        let cache = MeshCache::new(0);
         let (k1, p1) = build_params(4, 1);
         let (k2, p2) = build_params(4, 2);
         assert_ne!(k1.fingerprint(), k2.fingerprint());
@@ -360,7 +317,7 @@ mod tests {
         let m2 = build_mesh(&p2);
         // Room for the bigger of the two, never both.
         let budget = m1.approx_bytes().max(m2.approx_bytes()) + 1024;
-        let cache = MeshCache::new(budget, None);
+        let cache = MeshCache::new(budget);
         let (a1, _) = cache.get_or_build(&k1, &p1, m1.approx_bytes(), || build_mesh(&p1));
         drop(a1); // idle → evictable
         cache.notify_released();
@@ -368,9 +325,8 @@ mod tests {
         assert_eq!(o2, CacheOutcome::Miss);
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
-        // First key is gone: requesting it again is a fresh miss.
-        assert!(!cache.contains_geometry(k1.geometry_fingerprint()));
-        assert!(cache.contains_geometry(k2.geometry_fingerprint()));
+        // The first mesh is gone: only the second is resident.
+        assert_eq!(cache.resident_bytes(), m2.approx_bytes());
     }
 
     /// A build that panics must give its slot back: the thread already
@@ -381,7 +337,7 @@ mod tests {
         use std::sync::mpsc;
         use std::time::Duration;
 
-        let cache = Arc::new(MeshCache::new(0, None));
+        let cache = Arc::new(MeshCache::new(0));
         let (key, params) = build_params(4, 1);
         let timeout = Duration::from_secs(120);
         // The builder holds the slot until told to fail.
@@ -407,7 +363,6 @@ mod tests {
                 done_tx.send(outcome).unwrap();
             })
         };
-        assert!(cache.contains_geometry(key.geometry_fingerprint()));
         fail_tx.send(()).unwrap();
         assert!(builder.join().is_err(), "the builder must have panicked");
         // Whether the waiter was already asleep on the key or only arrives
@@ -420,28 +375,5 @@ mod tests {
         let (_, again) = cache.get_or_build(&key, &params, 0, || panic!("must not rebuild"));
         assert_eq!(again, CacheOutcome::Hit);
         assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn disk_tier_round_trips_across_cache_instances() {
-        let dir = std::env::temp_dir().join("specfem_campaign_disk_tier");
-        let _ = std::fs::remove_dir_all(&dir);
-        let (key, params) = build_params(4, 1);
-        {
-            let store = MeshArtifactStore::new(&dir).unwrap();
-            let cache = MeshCache::new(0, Some(store));
-            let (_, o) = cache.get_or_build(&key, &params, 0, || build_mesh(&params));
-            assert_eq!(o, CacheOutcome::Miss);
-        }
-        // A new process (fresh cache) finds the artifact on disk.
-        let store = MeshArtifactStore::new(&dir).unwrap();
-        let cache = MeshCache::new(0, Some(store));
-        let (mesh, o) = cache.get_or_build(&key, &params, 0, || panic!("must hit disk"));
-        assert_eq!(o, CacheOutcome::DiskHit);
-        assert_eq!(
-            specfem_mesh::content_hash(&mesh),
-            specfem_mesh::content_hash(&build_mesh(&params))
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,9 +9,8 @@
 //! content-addressed [`MeshCache`] keyed by
 //! [`Simulation::mesh_key`].
 //!
-//! * **Scheduling** — FIFO or mesh-affinity ordering (group jobs whose
-//!   mesh is already resident), integer priorities, and submit-side
-//!   backpressure via a bounded queue.
+//! * **Scheduling** — submission order within integer priorities, and
+//!   submit-side backpressure via a bounded queue.
 //! * **Robustness** — per-job retry with linear backoff on solver/comm
 //!   failure; retries strip the job's fault plan and, when a checkpoint
 //!   root is configured, resume from the newest complete checkpoint, so
@@ -42,7 +41,7 @@ pub mod packer;
 pub mod report;
 
 pub use cache::{CacheOutcome, CacheStats, MeshCache};
-pub use packer::{batch_key, plan_batches, BatchKey};
+pub use packer::{batch_key, claim_batch_mates, BatchKey};
 pub use report::{CampaignReport, JobRow, JobTelemetry};
 
 use std::cmp::Reverse;
@@ -54,20 +53,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use specfem_core::{NetworkProfile, RunFailure, RunOptions, Simulation, SimulationResult};
-use specfem_io::MeshArtifactStore;
 use specfem_obs::{Track, TrackEvent};
-
-/// In what order queued jobs are dispatched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulePolicy {
-    /// Strict submission order (within a priority class).
-    #[default]
-    Fifo,
-    /// Prefer jobs whose mesh is already resident (or being built), so
-    /// jobs sharing a mesh run back-to-back and eviction churn under a
-    /// tight byte budget is minimized.
-    MeshAffinity,
-}
 
 /// Retry behaviour for failed jobs.
 #[derive(Debug, Clone, Copy)]
@@ -76,14 +62,6 @@ pub struct RetryPolicy {
     pub max_retries: usize,
     /// Sleep before attempt `n + 1` is `backoff × n` (linear).
     pub backoff: Duration,
-    /// Elastic recovery for distributed jobs: when an attempt dies of a
-    /// dead or stalled rank, re-admit the next attempt on a world one
-    /// rank smaller (floor 1) instead of replaying the same doomed
-    /// decomposition. Checkpoints are rank-count independent, so the
-    /// shrunken world resumes from the last good generation; the
-    /// degradation is recorded in [`JobTelemetry`] and the
-    /// [`CampaignReport`]. On by default; serial jobs are unaffected.
-    pub shrink_to_survive: bool,
 }
 
 impl Default for RetryPolicy {
@@ -91,18 +69,23 @@ impl Default for RetryPolicy {
         Self {
             max_retries: 1,
             backoff: Duration::from_millis(10),
-            shrink_to_survive: true,
         }
     }
 }
 
-/// Whether a failed attempt is the kind elastic recovery can route
-/// around by shrinking the world: a rank that died or wedged. A dead
-/// peer presents to survivors as `RankDead`, `Stalled`, `Disconnected`,
-/// or — when the receive deadline fires before the dead rank's channel
-/// drops — a plain `Timeout`; from the receiver's seat those are the
-/// same event, so all four shrink. Health trips, protocol corruption,
-/// and checkpoint-store failures would fail on any world size.
+/// Whether a failed attempt of a distributed job is the kind elastic
+/// recovery routes around: a rank that died or wedged. The next attempt
+/// is then re-admitted on a world one rank smaller (floor 1) instead of
+/// replaying the same doomed decomposition — checkpoints are rank-count
+/// independent, so the shrunken world resumes from the last good
+/// generation, and the degradation is recorded in [`JobTelemetry`] and
+/// the [`CampaignReport`].
+///
+/// A dead peer presents to survivors as `RankDead`, `Stalled`,
+/// `Disconnected`, or — when the receive deadline fires before the dead
+/// rank's channel drops — a plain `Timeout`; from the receiver's seat
+/// those are the same event, so all four shrink. Health trips, protocol
+/// corruption, and checkpoint-store failures would fail on any world size.
 fn shrinkable(e: &specfem_core::solver::SolverError) -> bool {
     use specfem_core::comm::CommError;
     use specfem_core::solver::SolverError;
@@ -137,7 +120,7 @@ pub struct Job {
     pub name: String,
     /// The simulation to run.
     pub sim: Simulation,
-    /// Higher runs earlier within the scheduling policy.
+    /// Higher runs earlier; ties run in submission order.
     pub priority: i32,
     /// Serial or distributed execution.
     pub mode: JobMode,
@@ -197,15 +180,10 @@ pub struct CampaignConfig {
     pub workers: usize,
     /// Mesh-cache resident-byte ceiling; 0 = unbounded.
     pub mesh_cache_bytes: usize,
-    /// Dispatch order.
-    pub policy: SchedulePolicy,
     /// Retry behaviour.
     pub retry: RetryPolicy,
     /// Network model charged to distributed jobs.
     pub profile: NetworkProfile,
-    /// On-disk mesh artifact tier (shared across processes); `None`
-    /// keeps the cache memory-only.
-    pub disk_cache_dir: Option<PathBuf>,
     /// Root for per-job checkpoint directories
     /// (`<root>/<job name>/`). Enables checkpoint-aware retry/resume;
     /// set `config.checkpoint_every` on the jobs for it to matter.
@@ -213,18 +191,18 @@ pub struct CampaignConfig {
     /// Bound on queued (not yet dispatched) jobs; `submit` blocks at the
     /// bound. 0 = unbounded.
     pub queue_capacity: usize,
-    /// Maximum event lanes fused into one solve (`Par_file` key
-    /// `BATCH_MAX_LANES`). 1 (the default) disables fusing — every job
-    /// is dispatched as a group of one. With more lanes, a worker that
+    /// Maximum event lanes fused into one solve (the daemon's `Par_file`
+    /// key `BATCH_MAX_LANES`). 1 (the default) disables fusing — every
+    /// job is dispatched as a group of one. With more lanes, a worker that
     /// dequeues a batchable serial job also claims every queued job
     /// sharing its [`BatchKey`] (same mesh, same fused-loop shape) and
     /// runs the group as one solve; each job still gets its own
     /// [`JobOutcome`], bit-identical to a run alone.
     pub batch_max_lanes: usize,
     /// How long a worker holding a non-full batch waits for more
-    /// batch-mates to be submitted before solving (`Par_file` key
-    /// `BATCH_WINDOW_MS`). 0 (the default) = fuse only what is already
-    /// queued, never wait.
+    /// batch-mates to be submitted before solving (the daemon's
+    /// `Par_file` key `BATCH_WINDOW_MS`). 0 (the default) = fuse only what
+    /// is already queued, never wait.
     pub batch_window_ms: u64,
 }
 
@@ -233,10 +211,8 @@ impl Default for CampaignConfig {
         Self {
             workers: 0,
             mesh_cache_bytes: 0,
-            policy: SchedulePolicy::default(),
             retry: RetryPolicy::default(),
             profile: NetworkProfile::loopback(),
-            disk_cache_dir: None,
             checkpoint_root: None,
             queue_capacity: 0,
             batch_max_lanes: 1,
@@ -246,17 +222,6 @@ impl Default for CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// Adopt the `Par_file` campaign knobs (`CAMPAIGN_WORKERS`,
-    /// `MESH_CACHE_BYTES`, `BATCH_MAX_LANES`, `BATCH_WINDOW_MS`) —
-    /// builder-style, leaving every other field as configured.
-    pub fn with_knobs(mut self, knobs: &specfem_core::parfile::CampaignKnobs) -> Self {
-        self.workers = knobs.workers;
-        self.mesh_cache_bytes = knobs.mesh_cache_bytes;
-        self.batch_max_lanes = knobs.batch_max_lanes;
-        self.batch_window_ms = knobs.batch_window_ms;
-        self
-    }
-
     /// Builder-style batching control: fuse up to `lanes` compatible
     /// jobs per solve, waiting up to `window` for batch-mates.
     pub fn batching(mut self, lanes: usize, window: Duration) -> Self {
@@ -332,10 +297,7 @@ pub struct Campaign {
 impl Campaign {
     /// Create an idle campaign; workers spawn lazily as jobs arrive.
     pub fn new(cfg: CampaignConfig) -> Self {
-        let disk = cfg.disk_cache_dir.as_ref().map(|dir| {
-            MeshArtifactStore::new(dir).expect("campaign: cannot create mesh artifact dir")
-        });
-        let cache = MeshCache::new(cfg.mesh_cache_bytes, disk);
+        let cache = MeshCache::new(cfg.mesh_cache_bytes);
         Self {
             shared: Arc::new(Shared {
                 cfg,
@@ -523,44 +485,14 @@ impl CampaignResult {
     }
 }
 
-/// Pick the index of the next job to dispatch under the policy, or
-/// `None` when the queue is empty.
-fn pick_index(shared: &Shared, queue: &[QueuedJob]) -> Option<usize> {
-    if queue.is_empty() {
-        return None;
-    }
-    match shared.cfg.policy {
-        SchedulePolicy::Fifo => queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, q)| (Reverse(q.job.priority), q.index))
-            .map(|(i, _)| i),
-        SchedulePolicy::MeshAffinity => queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, q)| {
-                let resident = shared
-                    .cache
-                    .contains_geometry(q.job.sim.mesh_key().geometry_fingerprint());
-                (!resident, Reverse(q.job.priority), q.index)
-            })
-            .map(|(i, _)| i),
-    }
-}
-
-/// Claim every queued job fusable with `key`, up to `room` of them, in
-/// queue order. Caller holds the state lock.
-fn claim_batch_mates(queue: &mut Vec<QueuedJob>, key: BatchKey, room: usize) -> Vec<QueuedJob> {
-    let mut mates = Vec::new();
-    let mut j = 0;
-    while j < queue.len() && mates.len() < room {
-        if packer::batch_key(&queue[j].job) == Some(key) {
-            mates.push(queue.remove(j));
-        } else {
-            j += 1;
-        }
-    }
-    mates
+/// The index of the next job to dispatch — highest priority first,
+/// submission order within a priority — or `None` when the queue is empty.
+fn pick_index(queue: &[QueuedJob]) -> Option<usize> {
+    queue
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, q)| (Reverse(q.job.priority), q.index))
+        .map(|(i, _)| i)
 }
 
 fn worker_loop(shared: Arc<Shared>, worker_id: usize) {
@@ -568,10 +500,13 @@ fn worker_loop(shared: Arc<Shared>, worker_id: usize) {
         let batch: Vec<QueuedJob> = {
             let mut st = shared.state.lock().unwrap();
             loop {
-                if let Some(i) = pick_index(&shared, &st.queue) {
+                if let Some(i) = pick_index(&st.queue) {
                     let primary = st.queue.remove(i);
                     let mut group = vec![primary];
-                    let max_lanes = shared.cfg.batch_max_lanes.min(packer::max_lanes());
+                    let max_lanes = shared
+                        .cfg
+                        .batch_max_lanes
+                        .min(specfem_core::kernels::MAX_BATCH_LANES);
                     if max_lanes > 1 {
                         if let Some(key) = packer::batch_key(&group[0].job) {
                             // Greedy pack from the live queue; with a
@@ -581,7 +516,12 @@ fn worker_loop(shared: Arc<Shared>, worker_id: usize) {
                                 Instant::now() + Duration::from_millis(shared.cfg.batch_window_ms);
                             loop {
                                 let room = max_lanes - group.len();
-                                group.extend(claim_batch_mates(&mut st.queue, key, room));
+                                group.extend(claim_batch_mates(
+                                    &mut st.queue,
+                                    |q| packer::batch_key(&q.job),
+                                    key,
+                                    room,
+                                ));
                                 if group.len() >= max_lanes || st.done {
                                     break;
                                 }
@@ -639,13 +579,7 @@ impl Member {
     /// Record a failed attempt — structured cause and dossier into the
     /// telemetry — and either arm the next one (`true`: run me again) or
     /// make `message` the job's final error.
-    fn failed(
-        &mut self,
-        message: String,
-        failure: Option<&RunFailure>,
-        again: bool,
-        retry: &RetryPolicy,
-    ) -> bool {
+    fn failed(&mut self, message: String, failure: Option<&RunFailure>, again: bool) -> bool {
         if let Some(RunFailure { error, dossier }) = failure {
             roll_up_error(&mut self.telemetry, error);
             if let Some(path) = dossier {
@@ -654,8 +588,7 @@ impl Member {
         }
         if !again {
             self.result = Some(Err(message));
-        } else if retry.shrink_to_survive
-            && self.queued.job.mode == JobMode::Distributed
+        } else if self.queued.job.mode == JobMode::Distributed
             && failure.is_some_and(|f| shrinkable(&f.error))
         {
             // Shrink-to-survive: one rank is gone, so re-admit the
@@ -816,7 +749,7 @@ fn run_group(shared: &Shared, worker: usize, group: Vec<QueuedJob>) -> Vec<JobOu
                 }
                 Err(failure) => {
                     let message = failure.error.to_string();
-                    if member.failed(message, Some(&failure), retries_left, &retry) {
+                    if member.failed(message, Some(&failure), retries_left) {
                         work.push_back(vec![m]);
                     }
                 }
@@ -825,7 +758,7 @@ fn run_group(shared: &Shared, worker: usize, group: Vec<QueuedJob>) -> Vec<JobOu
         if let Some((message, failure)) = &whole {
             let again = retries_left || fused;
             for &m in &lanes {
-                if members[m].failed(message.clone(), failure.as_ref(), again, &retry) {
+                if members[m].failed(message.clone(), failure.as_ref(), again) {
                     work.push_back(vec![m]);
                 }
             }
@@ -991,40 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn affinity_beats_fifo_under_tight_budget() {
-        // Two geometries, interleaved A B A B, budget fits one mesh:
-        // FIFO thrashes, affinity groups A A B B.
-        let run = |policy: SchedulePolicy| {
-            let probe = tiny_sim(4, 2, 0);
-            let (mesh_a, _) = probe.build_mesh();
-            let probe_b = tiny_sim(6, 2, 0);
-            let (mesh_b, _) = probe_b.build_mesh();
-            let budget = mesh_a.approx_bytes().max(mesh_b.approx_bytes()) + 4096;
-            let mut campaign = Campaign::new(CampaignConfig {
-                workers: 1,
-                mesh_cache_bytes: budget,
-                policy,
-                ..CampaignConfig::default()
-            });
-            for i in 0..4 {
-                let nex = if i % 2 == 0 { 4 } else { 6 };
-                campaign.submit(Job::new(format!("j{i}"), tiny_sim(nex, 2, i)));
-            }
-            let result = campaign.finish();
-            assert!(result.all_ok());
-            result.cache
-        };
-        let fifo = run(SchedulePolicy::Fifo);
-        let affine = run(SchedulePolicy::MeshAffinity);
-        assert!(
-            affine.evictions < fifo.evictions,
-            "affinity {affine:?} vs fifo {fifo:?}"
-        );
-        assert_eq!(affine.hits, 2);
-        assert_eq!(affine.misses, 2);
-    }
-
-    #[test]
     fn injected_kill_retries_to_bit_identical_seismograms() {
         let ckpt = std::env::temp_dir().join("specfem_campaign_retry_ckpt");
         let _ = std::fs::remove_dir_all(&ckpt);
@@ -1126,7 +1025,6 @@ mod tests {
             retry: RetryPolicy {
                 max_retries: 0,
                 backoff: Duration::from_millis(1),
-                ..RetryPolicy::default()
             },
             ..CampaignConfig::default()
         });
@@ -1170,11 +1068,26 @@ mod tests {
             retry: RetryPolicy {
                 max_retries: 1,
                 backoff: Duration::from_millis(1),
-                ..RetryPolicy::default()
             },
             ..CampaignConfig::default()
         });
         campaign.submit(Job::new("flaky-mesh", tiny_sim(4, 5, 0)));
+        // The injection is consumed as flaky-mesh's build starts; a
+        // neighbour submitted any earlier could win the build instead and
+        // leave the failure unfired.
+        let submitted = Instant::now();
+        while FAILING_BUILDS
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|n| n == "flaky-mesh")
+        {
+            assert!(
+                submitted.elapsed() < Duration::from_secs(120),
+                "flaky-mesh never reached its mesh build"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         campaign.submit(Job::new("neighbour", tiny_sim(4, 5, 1)));
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || done_tx.send(campaign.finish()).unwrap());
@@ -1206,7 +1119,6 @@ mod tests {
             retry: RetryPolicy {
                 max_retries: 0,
                 backoff: Duration::from_millis(1),
-                ..RetryPolicy::default()
             },
             ..CampaignConfig::default()
         });

@@ -12,21 +12,14 @@
 //! is screened here: what still cannot fuse is decided in one place,
 //! `specfem_solver::lanes_supported`.
 //!
-//! The worker loop packs greedily from the live queue (see
-//! `worker_loop` in the crate root); [`plan_batches`] is the same
-//! grouping as a pure function over a snapshot, which is what the
-//! property tests drive.
+//! The worker loop packs greedily from the live queue: it dequeues one
+//! job and [`claim_batch_mates`] takes its batch-mates (see `worker_loop`
+//! in the crate root). The property tests drive the same function over
+//! plain keys.
 
 use specfem_core::Simulation;
 
 use crate::{Job, JobMode};
-
-/// Hard ceiling on lanes per solve (the kernel tier's
-/// `MAX_BATCH_LANES`); `CampaignConfig::batch_max_lanes` is clamped to
-/// it at dispatch.
-pub fn max_lanes() -> usize {
-    specfem_core::kernels::MAX_BATCH_LANES
-}
 
 /// The fusion identity of a batchable job: jobs fuse iff their keys are
 /// equal.
@@ -59,32 +52,26 @@ pub fn batch_key_sim(sim: &Simulation) -> Option<BatchKey> {
     })
 }
 
-/// Group a queue snapshot into dispatch batches: each inner `Vec` holds
-/// positions (into `keys`) of jobs that fuse into one solve, in input
-/// order, capped at `max_lanes` per batch; a `None` key is a batch of
-/// one. The output is a partition of `0..keys.len()` — every input
-/// position appears in exactly one batch (the lane→job fan-out the
-/// property tests check is a bijection).
-pub fn plan_batches(keys: &[Option<BatchKey>], max_lanes: usize) -> Vec<Vec<usize>> {
-    let max_lanes = max_lanes.max(1);
-    let mut batches: Vec<Vec<usize>> = Vec::new();
-    let mut open: Vec<(BatchKey, usize)> = Vec::new(); // key → position in `batches`
-    for (i, key) in keys.iter().enumerate() {
-        match key {
-            None => batches.push(vec![i]),
-            Some(k) => match open.iter().find(|(ok, _)| ok == k) {
-                Some(&(_, b)) if batches[b].len() < max_lanes => batches[b].push(i),
-                _ => {
-                    // No open batch with room: start a new one and make
-                    // it the key's open batch.
-                    open.retain(|(ok, _)| ok != k);
-                    open.push((*k, batches.len()));
-                    batches.push(vec![i]);
-                }
-            },
+/// Claim every queued item fusable with `key`, up to `room` of them, in
+/// queue order; what is left keeps its order. `key_of` reads an item's
+/// fusion identity — the worker hands in queued jobs, a test plain keys.
+/// Caller holds the queue's lock.
+pub fn claim_batch_mates<T>(
+    queue: &mut Vec<T>,
+    key_of: impl Fn(&T) -> Option<BatchKey>,
+    key: BatchKey,
+    room: usize,
+) -> Vec<T> {
+    let mut mates = Vec::new();
+    let mut j = 0;
+    while j < queue.len() && mates.len() < room {
+        if key_of(&queue[j]) == Some(key) {
+            mates.push(queue.remove(j));
+        } else {
+            j += 1;
         }
     }
-    batches
+    mates
 }
 
 #[cfg(test)]
@@ -97,22 +84,14 @@ mod tests {
 
     #[test]
     fn plan_groups_equal_keys_and_respects_the_cap() {
-        let keys = vec![
-            key(1, 1),
-            key(1, 1),
-            None,
-            key(1, 2),
-            key(1, 1),
-            key(1, 1),
-            key(1, 2),
-        ];
-        let batches = plan_batches(&keys, 3);
-        assert_eq!(batches, vec![vec![0, 1, 4], vec![2], vec![3, 6], vec![5]]);
-        // Cap 1 degenerates to singletons in input order.
-        let singles = plan_batches(&keys, 1);
-        assert_eq!(singles.len(), keys.len());
-        for (i, b) in singles.iter().enumerate() {
-            assert_eq!(b, &vec![i]);
-        }
+        let mut queue = vec![key(1, 1), None, key(1, 2), key(1, 1), key(1, 1), key(1, 2)];
+        let wanted = BatchKey { mesh: 1, compat: 1 };
+        // Room for two: the third equal key stays queued, order intact.
+        let mates = claim_batch_mates(&mut queue, |k| *k, wanted, 2);
+        assert_eq!(mates, vec![key(1, 1), key(1, 1)]);
+        assert_eq!(queue, vec![None, key(1, 2), key(1, 1), key(1, 2)]);
+        // No room claims nothing.
+        assert!(claim_batch_mates(&mut queue, |k| *k, wanted, 0).is_empty());
+        assert_eq!(queue.len(), 4);
     }
 }

@@ -221,12 +221,8 @@ impl CampaignReport {
             self.element_steps_per_s, self.total_element_steps
         ));
         out.push_str(&format!(
-            "  mesh cache      : {} hit / {} derived / {} disk / {} miss / {} evicted\n",
-            self.cache.hits,
-            self.cache.derived_hits,
-            self.cache.disk_hits,
-            self.cache.misses,
-            self.cache.evictions
+            "  mesh cache      : {} hit / {} derived / {} miss / {} evicted\n",
+            self.cache.hits, self.cache.derived_hits, self.cache.misses, self.cache.evictions
         ));
         out.push_str(&format!(
             "  retries, failed : {}, {}\n",
@@ -312,13 +308,9 @@ impl CampaignReport {
         out.push_str(&format!("  \"batched_jobs\": {},\n", self.batched_jobs));
         out.push_str(&format!("  \"lts_jobs\": {},\n", self.lts_jobs));
         out.push_str(&format!(
-            "  \"cache\": {{\"hits\": {}, \"derived_hits\": {}, \"disk_hits\": {}, \
-             \"misses\": {}, \"evictions\": {}}},\n",
-            self.cache.hits,
-            self.cache.derived_hits,
-            self.cache.disk_hits,
-            self.cache.misses,
-            self.cache.evictions
+            "  \"cache\": {{\"hits\": {}, \"derived_hits\": {}, \"misses\": {}, \
+             \"evictions\": {}}},\n",
+            self.cache.hits, self.cache.derived_hits, self.cache.misses, self.cache.evictions
         ));
         out.push_str("  \"jobs\": [\n");
         for (i, j) in self.jobs.iter().enumerate() {

@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use proptest::prelude::*;
-use specfem_campaign::{plan_batches, BatchKey, Campaign, CampaignConfig, Job, RetryPolicy};
+use specfem_campaign::{claim_batch_mates, BatchKey, Campaign, CampaignConfig, Job, RetryPolicy};
 use specfem_core::comm::FaultPlan;
 use specfem_core::io::read_crash_dossier;
 use specfem_core::model::builtin_events;
@@ -54,8 +54,30 @@ fn event_sim(steps: usize, event_idx: usize) -> Simulation {
         .unwrap()
 }
 
+/// Drain a queue of keys the way `worker_loop` does: dequeue the head,
+/// then let it claim its batch-mates through the function the worker
+/// calls. Returns each dispatched group as input positions.
+fn dispatch_all(keys: &[Option<BatchKey>], max_lanes: usize) -> Vec<Vec<usize>> {
+    let mut queue: Vec<(usize, Option<BatchKey>)> = keys.iter().copied().enumerate().collect();
+    let mut batches = Vec::new();
+    while !queue.is_empty() {
+        let mut group = vec![queue.remove(0)];
+        if let Some(key) = group[0].1 {
+            group.extend(claim_batch_mates(&mut queue, |q| q.1, key, max_lanes - 1));
+        }
+        batches.push(group.into_iter().map(|(i, _)| i).collect());
+    }
+    batches
+}
+
+fn keys_from(raw: Vec<(bool, u64, u64)>) -> Vec<Option<BatchKey>> {
+    raw.into_iter()
+        .map(|(batchable, mesh, compat)| batchable.then_some(BatchKey { mesh, compat }))
+        .collect()
+}
+
 proptest! {
-    /// Every planned batch holds jobs of exactly one key, never more
+    /// Every dispatched batch holds jobs of exactly one key, never more
     /// than `max_lanes` of them, and unbatchable (`None`) jobs ride
     /// alone.
     #[test]
@@ -63,18 +85,12 @@ proptest! {
         raw in prop::collection::vec((any::<bool>(), 0u64..3, 0u64..3), 0..40),
         max_lanes in 1usize..6,
     ) {
-        let keys: Vec<Option<BatchKey>> = raw
-            .into_iter()
-            .map(|(batchable, mesh, compat)| {
-                batchable.then_some(BatchKey { mesh, compat })
-            })
-            .collect();
-        let batches = plan_batches(&keys, max_lanes);
-        for b in &batches {
+        let keys = keys_from(raw);
+        for b in dispatch_all(&keys, max_lanes) {
             prop_assert!(!b.is_empty());
             prop_assert!(b.len() <= max_lanes);
             let first = keys[b[0]];
-            for &i in b {
+            for &i in &b {
                 prop_assert_eq!(keys[i], first, "a batch mixed keys");
             }
             if first.is_none() {
@@ -83,7 +99,7 @@ proptest! {
         }
     }
 
-    /// The plan is a partition of the input: each job lands in exactly
+    /// Dispatch is an exact cover of the input: each job lands in exactly
     /// one batch, in queue order within its batch (lane→job fan-out is
     /// a bijection).
     #[test]
@@ -91,17 +107,11 @@ proptest! {
         raw in prop::collection::vec((any::<bool>(), 0u64..4, 0u64..2), 0..60),
         max_lanes in 1usize..8,
     ) {
-        let keys: Vec<Option<BatchKey>> = raw
-            .into_iter()
-            .map(|(batchable, mesh, compat)| {
-                batchable.then_some(BatchKey { mesh, compat })
-            })
-            .collect();
-        let batches = plan_batches(&keys, max_lanes);
+        let keys = keys_from(raw);
         let mut seen = vec![0usize; keys.len()];
-        for b in &batches {
+        for b in dispatch_all(&keys, max_lanes) {
             prop_assert!(b.windows(2).all(|w| w[0] < w[1]), "lanes out of queue order");
-            for &i in b {
+            for &i in &b {
                 prop_assert!(i < keys.len());
                 seen[i] += 1;
             }
@@ -194,7 +204,6 @@ fn poisoned_lane_scenario(checkpoint_root: Option<PathBuf>) {
             retry: RetryPolicy {
                 max_retries: 0,
                 backoff: Duration::from_millis(1),
-                ..RetryPolicy::default()
             },
             checkpoint_root: checkpoint_root.clone(),
             ..CampaignConfig::default()

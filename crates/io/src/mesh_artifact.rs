@@ -1,13 +1,12 @@
-//! On-disk mesh artifacts — the campaign cache's persistent tier.
+//! On-disk mesh artifacts — a built mesh as one checksummed file.
 //!
-//! A built [`GlobalMesh`] is the amortizable fixed cost of every run in a
-//! campaign; this module makes it a first-class, checksummed artifact (in
-//! the spirit of Hapla et al.'s checkpointed DMPlex meshes) so separate
-//! campaign processes can share builds through the filesystem.
+//! A built [`GlobalMesh`] becomes a first-class artifact (in the spirit of
+//! Hapla et al.'s checkpointed DMPlex meshes): one container that any
+//! decomposition can be re-extracted from, instead of per-rank files.
 //!
-//! Since the container unification the payload lives in the shared `"SFCN"`
-//! chunk format of [`crate::container`] (kind `"MESH"`): each mesh array is
-//! its own CRC-guarded chunk, so a bit flip is pinned to a named chunk with
+//! The payload lives in the shared `"SFCN"` chunk format of
+//! [`crate::container`] (kind `"MESH"`): each mesh array is its own
+//! CRC-guarded chunk, so a bit flip is pinned to a named chunk with
 //! expected-vs-actual checksums. Files are named by the [`MeshKey`]'s
 //! fingerprint hex and carry the fingerprint in the `meta` chunk, so a
 //! stale or mis-filed artifact can never be silently loaded for the wrong
@@ -23,8 +22,8 @@ use specfem_comm::{ArtifactFaultKind, FaultPlan};
 use specfem_gll::GllBasis;
 use specfem_mesh::build::ElementHome;
 use specfem_mesh::{
-    CubeAssignment, ElementOrder, GlobalMesh, LayerPlan, MeshKey, MeshMode, MeshParams, MeshRegion,
-    MesherReport, Shell,
+    ElementOrder, GlobalMesh, LayerPlan, MeshKey, MeshMode, MeshParams, MeshRegion, MesherReport,
+    Shell,
 };
 
 use crate::container::{
@@ -36,7 +35,7 @@ use crate::container::{
 pub const MESH_KIND: [u8; 4] = *b"MESH";
 
 /// Version of the mesh payload layout.
-pub const MESH_FORMAT_VERSION: u32 = 2;
+pub const MESH_FORMAT_VERSION: u32 = 3;
 
 fn region_tag(r: MeshRegion) -> u8 {
     match r {
@@ -71,8 +70,6 @@ fn encode_params(out: &mut Vec<u8>, p: &MeshParams) {
     put_u64(out, p.nex_xi as u64);
     put_u64(out, p.nproc_xi as u64);
     put_u64(out, p.degree as u64);
-    put_f64(out, p.cube_inflation);
-    put_f64(out, p.cube_half_width_fraction);
     put_u8(out, p.honor_minor_discontinuities as u8);
     match p.radial_layer_nex {
         Some(n) => {
@@ -84,13 +81,6 @@ fn encode_params(out: &mut Vec<u8>, p: &MeshParams) {
             put_u64(out, 0);
         }
     }
-    put_u8(
-        out,
-        match p.cube_assignment {
-            CubeAssignment::SingleRank => 0,
-            CubeAssignment::TwoRanks => 1,
-        },
-    );
     match p.element_order {
         ElementOrder::Natural => {
             put_u8(out, 0);
@@ -123,17 +113,10 @@ fn decode_params(r: &mut ByteReader<'_>) -> Result<MeshParams, ArtifactError> {
     let nex_xi = r.u64()? as usize;
     let nproc_xi = r.u64()? as usize;
     let degree = r.u64()? as usize;
-    let cube_inflation = r.f64()?;
-    let cube_half_width_fraction = r.f64()?;
     let honor_minor_discontinuities = r.u8()? != 0;
     let has_radial = r.u8()? != 0;
     let radial = r.u64()? as usize;
     let radial_layer_nex = has_radial.then_some(radial);
-    let cube_assignment = match r.u8()? {
-        0 => CubeAssignment::SingleRank,
-        1 => CubeAssignment::TwoRanks,
-        t => return Err(r.format_err(format!("bad cube-assignment tag {t}"))),
-    };
     let order_tag = r.u8()?;
     let order_arg = r.u64()?;
     let element_order = match order_tag {
@@ -151,11 +134,8 @@ fn decode_params(r: &mut ByteReader<'_>) -> Result<MeshParams, ArtifactError> {
         nex_xi,
         nproc_xi,
         degree,
-        cube_inflation,
-        cube_half_width_fraction,
         honor_minor_discontinuities,
         radial_layer_nex,
-        cube_assignment,
         element_order,
         legacy_two_pass_materials,
     })
@@ -670,7 +650,7 @@ mod tests {
                 }
                 _ => assert!(matches!(err, ArtifactError::Format { .. }), "{err}"),
             }
-            // The campaign cache's recovery: evict and rebuild.
+            // The recovery: evict and rebuild.
             store.evict(&key);
             assert!(store.load(&key).unwrap().is_none());
             let _ = fs::remove_dir_all(store.dir());
@@ -696,6 +676,31 @@ mod tests {
             specfem_mesh::content_hash(&back),
             specfem_mesh::content_hash(&mesh)
         );
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// A file written by the previous payload layout is a typed
+    /// unsupported-version error, and the fallback path removes it.
+    #[test]
+    fn version_2_artifact_is_unsupported_and_evicted() {
+        let store = tmp_store("old_version");
+        let key = MeshKey::new(&MeshParams::new(4, 2), "prem_iso");
+        let path = store.path_for(&key);
+        write_container_atomic(&path, MESH_KIND, 2, |w| w.chunk("meta", &[0; 24])).unwrap();
+        let err = store.load(&key).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ArtifactError::Version {
+                    found: 2,
+                    supported: MESH_FORMAT_VERSION,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(store.load_or_evict(&key).is_none());
+        assert!(!path.exists(), "an unreadable artifact must be evicted");
         let _ = fs::remove_dir_all(store.dir());
     }
 

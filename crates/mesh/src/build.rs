@@ -14,7 +14,7 @@ use crate::cubed_sphere::{
     chunk_face_vector, cube_node, cube_surface_radius, lerp, tan_lattice, NCHUNKS,
 };
 use crate::layers::LayerPlan;
-use crate::{MeshMode, MeshParams, MeshRegion};
+use crate::{MeshMode, MeshParams, MeshRegion, CUBE_HALF_WIDTH_M, CUBE_INFLATION};
 use specfem_gll::GllBasis;
 use specfem_model::{EarthModel, ICB_RADIUS_M};
 
@@ -112,8 +112,8 @@ impl GlobalMesh {
         let _span = specfem_obs::span("mesh.build");
         let basis = GllBasis::new(params.degree);
         let nex = params.nex_xi;
-        let a = params.cube_half_width_fraction * ICB_RADIUS_M;
-        let beta = params.cube_inflation;
+        let a = CUBE_HALF_WIDTH_M;
+        let beta = CUBE_INFLATION;
         let radial_nex = params.radial_layer_nex.unwrap_or(nex);
         let (regional, r_base) = match params.mode {
             MeshMode::Global => (false, a),

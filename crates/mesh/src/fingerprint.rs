@@ -1,125 +1,109 @@
 //! Content-addressed mesh identity (campaign runtime support).
 //!
-//! A [`MeshKey`] is a deterministic fingerprint over every knob that can
-//! change the bits of a built [`GlobalMesh`] — `(nex, nproc, mode, model,
-//! dtype-affecting parameters)`. Jobs whose simulations hash to the same
-//! key can share one mesh build; the campaign scheduler uses the key for
-//! cache addressing and mesh-affinity ordering, and `specfem-io` uses its
-//! hex form to name on-disk mesh artifacts.
+//! A [`MeshKey`] is a deterministic identity over every knob that can
+//! change the bits of a built [`GlobalMesh`] or of its rank slices — the
+//! model plus every [`MeshParams`] field. Jobs whose simulations have the
+//! same key can share one mesh build; the campaign's mesh cache is
+//! addressed by it, and `specfem-io` uses its hex form to name on-disk
+//! mesh artifacts.
 //!
 //! Two fingerprints are exposed:
 //!
 //! * [`MeshKey::fingerprint`] — the full identity, including the
-//!   decomposition (`nproc_xi`, cube assignment, element order).
+//!   decomposition (`nproc_xi`, element order).
 //! * [`MeshKey::geometry_fingerprint`] — masks the *partition-time* knobs.
 //!   The global mesh geometry, numbering and materials provably do not
-//!   depend on `nproc_xi`/`cube_assignment`/`element_order` (only
-//!   `Partition::compute` and `Partition::extract` read them), so a cached
-//!   mesh built for one decomposition can serve a request for another by
-//!   cloning and re-stamping `params` — a "derived hit" in cache terms.
+//!   depend on `nproc_xi`/`element_order` (only `Partition::compute` and
+//!   `Partition::extract` read them), so a cached mesh built for one
+//!   decomposition can serve a request for another by cloning and
+//!   re-stamping `params` — a "derived hit" in cache terms.
 
 use crate::numbering::ElementOrder;
-use crate::partition::CubeAssignment;
-use crate::{GlobalMesh, LayerPlan, MeshMode, MeshParams};
+use crate::{GlobalMesh, LayerPlan, MeshMode, MeshParams, CUBE_HALF_WIDTH_M};
 use specfem_model::EarthModel;
 
-/// Deterministic identity of a mesh build: the model plus every
-/// `MeshParams` field that influences the built mesh or its partition.
+/// Deterministic identity of a mesh build: the canonical bytes of the
+/// model id and of every `MeshParams` field, split by what reads them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MeshKey {
-    /// Stable identifier of the Earth model (e.g. `"prem"`).
-    pub model_id: String,
-    /// Mode tag: 0 = global, 1 = regional.
-    mode_tag: u8,
-    /// Bit pattern of the regional inner radius (0 for global mode).
-    r_min_bits: u64,
-    /// `NEX_XI`.
-    pub nex_xi: usize,
-    /// `NPROC_XI` (masked by [`Self::geometry_fingerprint`]).
-    pub nproc_xi: usize,
-    /// Polynomial degree.
-    pub degree: usize,
-    cube_inflation_bits: u64,
-    cube_half_width_bits: u64,
-    honor_minor: bool,
-    /// `radial_layer_nex`, with `usize::MAX` standing in for `None`.
-    radial_layer_nex: usize,
-    cube_assignment_tag: u8,
-    element_order_tag: u8,
-    element_order_arg: u64,
-    legacy_two_pass: bool,
+    /// Model id plus every field the built mesh depends on.
+    geometry: Vec<u8>,
+    /// The fields only partitioning and extraction read.
+    partition: Vec<u8>,
 }
 
 impl MeshKey {
     /// Build the key for `params` over the model named `model_id`.
     pub fn new(params: &MeshParams, model_id: &str) -> MeshKey {
-        let (mode_tag, r_min_bits) = match params.mode {
+        // Exhaustive on purpose: a new `MeshParams` field does not compile
+        // until it is filed under geometry or partition below.
+        let MeshParams {
+            mode,
+            nex_xi,
+            nproc_xi,
+            degree,
+            honor_minor_discontinuities,
+            radial_layer_nex,
+            element_order,
+            legacy_two_pass_materials,
+        } = params;
+        let (mode_tag, r_min_bits) = match mode {
             MeshMode::Global => (0u8, 0u64),
             MeshMode::Regional { r_min } => (1u8, r_min.to_bits()),
         };
-        let (cube_assignment_tag,) = match params.cube_assignment {
-            CubeAssignment::SingleRank => (0u8,),
-            CubeAssignment::TwoRanks => (1u8,),
-        };
-        let (element_order_tag, element_order_arg) = match params.element_order {
+        let (order_tag, order_arg) = match *element_order {
             ElementOrder::Natural => (0u8, 0u64),
             ElementOrder::Random(seed) => (1u8, seed),
             ElementOrder::CuthillMcKee => (2u8, 0u64),
             ElementOrder::MultilevelCuthillMcKee { block } => (3u8, block as u64),
         };
-        MeshKey {
-            model_id: model_id.to_string(),
-            mode_tag,
-            r_min_bits,
-            nex_xi: params.nex_xi,
-            nproc_xi: params.nproc_xi,
-            degree: params.degree,
-            cube_inflation_bits: params.cube_inflation.to_bits(),
-            cube_half_width_bits: params.cube_half_width_fraction.to_bits(),
-            honor_minor: params.honor_minor_discontinuities,
-            radial_layer_nex: params.radial_layer_nex.unwrap_or(usize::MAX),
-            cube_assignment_tag,
-            element_order_tag,
-            element_order_arg,
-            legacy_two_pass: params.legacy_two_pass_materials,
-        }
-    }
 
-    fn hash_fields(&self, mask_partition_knobs: bool) -> u64 {
-        let mut h = Fnv::new();
-        h.write(self.model_id.as_bytes());
-        h.write(&[self.mode_tag]);
-        h.write(&self.r_min_bits.to_le_bytes());
-        h.write(&(self.nex_xi as u64).to_le_bytes());
-        h.write(&(self.degree as u64).to_le_bytes());
-        h.write(&self.cube_inflation_bits.to_le_bytes());
-        h.write(&self.cube_half_width_bits.to_le_bytes());
-        h.write(&[self.honor_minor as u8]);
-        h.write(&(self.radial_layer_nex as u64).to_le_bytes());
-        h.write(&[self.legacy_two_pass as u8]);
-        if !mask_partition_knobs {
-            h.write(&(self.nproc_xi as u64).to_le_bytes());
-            h.write(&[self.cube_assignment_tag]);
-            h.write(&[self.element_order_tag]);
-            h.write(&self.element_order_arg.to_le_bytes());
+        let put = |buf: &mut Vec<u8>, v: u64| buf.extend_from_slice(&v.to_le_bytes());
+        let mut geometry = Vec::new();
+        put(&mut geometry, model_id.len() as u64);
+        geometry.extend_from_slice(model_id.as_bytes());
+        geometry.push(mode_tag);
+        put(&mut geometry, r_min_bits);
+        put(&mut geometry, *nex_xi as u64);
+        put(&mut geometry, *degree as u64);
+        geometry.push(*honor_minor_discontinuities as u8);
+        // `u64::MAX` stands in for `None` (no NEX gets near it).
+        put(
+            &mut geometry,
+            radial_layer_nex.map_or(u64::MAX, |n| n as u64),
+        );
+        geometry.push(*legacy_two_pass_materials as u8);
+
+        let mut partition = Vec::new();
+        put(&mut partition, *nproc_xi as u64);
+        partition.push(order_tag);
+        put(&mut partition, order_arg);
+
+        MeshKey {
+            geometry,
+            partition,
         }
-        h.finish()
     }
 
     /// Full 64-bit fingerprint, including the decomposition knobs.
     pub fn fingerprint(&self) -> u64 {
-        self.hash_fields(false)
+        let mut h = Fnv::new();
+        h.write(&self.geometry);
+        h.write(&self.partition);
+        h.finish()
     }
 
-    /// Fingerprint of the *built* mesh only: masks `nproc_xi`,
-    /// `cube_assignment` and `element_order`, which affect only
-    /// partitioning/extraction, never the global mesh bits.
+    /// Fingerprint of the *built* mesh only: masks `nproc_xi` and
+    /// `element_order`, which affect only partitioning/extraction, never
+    /// the global mesh bits.
     pub fn geometry_fingerprint(&self) -> u64 {
-        self.hash_fields(true)
+        let mut h = Fnv::new();
+        h.write(&self.geometry);
+        h.finish()
     }
 
     /// Lower-case hex form of the full fingerprint — used as the artifact
-    /// file stem by the on-disk mesh cache.
+    /// file stem by the on-disk mesh store.
     pub fn hex(&self) -> String {
         format!("{:016x}", self.fingerprint())
     }
@@ -188,7 +172,7 @@ impl GlobalMesh {
 pub fn estimated_mesh_bytes(params: &MeshParams, model: &dyn EarthModel) -> usize {
     let radial_nex = params.radial_layer_nex.unwrap_or(params.nex_xi);
     let r_base = match params.mode {
-        MeshMode::Global => params.cube_half_width_fraction * specfem_model::ICB_RADIUS_M,
+        MeshMode::Global => CUBE_HALF_WIDTH_M,
         MeshMode::Regional { r_min } => r_min,
     };
     let plan = LayerPlan::new(
@@ -254,6 +238,63 @@ mod tests {
         let mut hi = p.clone();
         hi.nex_xi = 16;
         assert_ne!(MeshKey::new(&hi, "prem").fingerprint(), a.fingerprint());
+    }
+
+    /// Every `MeshParams` field moves the key, and only the partition-time
+    /// fields leave the geometry fingerprint alone.
+    #[test]
+    fn mesh_key_sensitivity() {
+        let base = MeshParams::new(8, 2);
+        // Exhaustive: a new field does not compile until it is classified
+        // as geometry (`true`) or partition-only (`false`) below.
+        let MeshParams {
+            mode: _,
+            nex_xi: _,
+            nproc_xi: _,
+            degree: _,
+            honor_minor_discontinuities: _,
+            radial_layer_nex: _,
+            element_order: _,
+            legacy_two_pass_materials: _,
+        } = base;
+        type Flip = fn(&mut MeshParams);
+        let flips: [(&str, bool, Flip); 8] = [
+            ("mode", true, |p| {
+                p.mode = MeshMode::Regional {
+                    r_min: specfem_model::CMB_RADIUS_M,
+                }
+            }),
+            ("nex_xi", true, |p| p.nex_xi = 16),
+            ("nproc_xi", false, |p| p.nproc_xi = 4),
+            ("degree", true, |p| p.degree += 1),
+            ("honor_minor_discontinuities", true, |p| {
+                p.honor_minor_discontinuities ^= true
+            }),
+            ("radial_layer_nex", true, |p| p.radial_layer_nex = Some(8)),
+            ("element_order", false, |p| {
+                p.element_order = ElementOrder::Natural
+            }),
+            ("legacy_two_pass_materials", true, |p| {
+                p.legacy_two_pass_materials ^= true
+            }),
+        ];
+        let key = MeshKey::new(&base, "prem");
+        for (field, geometry, flip) in flips {
+            let mut p = base.clone();
+            flip(&mut p);
+            let flipped = MeshKey::new(&p, "prem");
+            assert_ne!(flipped, key, "{field} must move the key");
+            assert_ne!(flipped.fingerprint(), key.fingerprint(), "{field}");
+            assert_eq!(
+                flipped.geometry_fingerprint() != key.geometry_fingerprint(),
+                geometry,
+                "{field}: geometry fingerprint"
+            );
+        }
+        // A regional inner radius is part of the geometry too.
+        let r1 = MeshKey::new(&MeshParams::regional(8, 2, 5.0e6), "prem");
+        let r2 = MeshKey::new(&MeshParams::regional(8, 2, 5.5e6), "prem");
+        assert_ne!(r1.geometry_fingerprint(), r2.geometry_fingerprint());
     }
 
     #[test]

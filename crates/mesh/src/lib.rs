@@ -33,7 +33,7 @@ pub use layers::{LayerPlan, Shell};
 pub use local::LocalMesh;
 pub use lts::{element_dts, global_element_dts, LtsClusters, MAX_LTS_RATE};
 pub use numbering::ElementOrder;
-pub use partition::{CubeAssignment, Partition};
+pub use partition::Partition;
 pub use stations::{locate_station_exact, locate_station_nearest, Station, StationLocation};
 
 /// Which physical region an element belongs to. Mirrors SPECFEM's
@@ -80,6 +80,16 @@ pub enum MeshMode {
     },
 }
 
+/// Central-cube inflation factor β ∈ [0, 1): 0 = flat-faced "real" cube,
+/// →1 = fully inflated (spherical) cube boundary. The paper credits the
+/// inflated cube with better inner-core resolution [7]. β = 1 with a
+/// straight cube lattice folds the eight corner elements (negative
+/// Jacobians); β ≤ 0.8 is safe.
+pub(crate) const CUBE_INFLATION: f64 = 0.75;
+
+/// Central-cube half-width (m): 0.45 of the ICB radius.
+pub(crate) const CUBE_HALF_WIDTH_M: f64 = 0.45 * specfem_model::ICB_RADIUS_M;
+
 /// Mesh generation parameters — the analog of SPECFEM's `Par_file`.
 #[derive(Debug, Clone)]
 pub struct MeshParams {
@@ -94,14 +104,6 @@ pub struct MeshParams {
     pub nproc_xi: usize,
     /// Polynomial degree (production: 4).
     pub degree: usize,
-    /// Central-cube inflation factor β ∈ [0, 1): 0 = flat-faced "real"
-    /// cube, →1 = fully inflated (spherical) cube boundary. The paper
-    /// credits the inflated cube with better inner-core resolution [7].
-    /// β = 1 with a straight cube lattice folds the eight corner elements
-    /// (negative Jacobians); β ≤ 0.8 is safe, and 0.75 is the default.
-    pub cube_inflation: f64,
-    /// Central-cube half-width as a fraction of the ICB radius.
-    pub cube_half_width_fraction: f64,
     /// Honour minor upper-mantle/crust discontinuities with element
     /// boundaries (true) or only ICB/CMB/670/Moho (false, for small NEX).
     pub honor_minor_discontinuities: bool,
@@ -111,8 +113,6 @@ pub struct MeshParams {
     /// growth); pinning this reproduces that scaling in resolution sweeps.
     /// `None` scales the layering with `nex_xi`.
     pub radial_layer_nex: Option<usize>,
-    /// How central-cube elements are assigned to ranks.
-    pub cube_assignment: CubeAssignment,
     /// Element ordering applied per rank after build.
     pub element_order: ElementOrder,
     /// Legacy two-pass material assignment (geometry first, then a second
@@ -134,11 +134,8 @@ impl MeshParams {
             nex_xi,
             nproc_xi,
             degree: specfem_gll::DEFAULT_DEGREE,
-            cube_inflation: 0.75,
-            cube_half_width_fraction: 0.45,
             honor_minor_discontinuities: nex_xi >= 32,
             radial_layer_nex: None,
-            cube_assignment: CubeAssignment::TwoRanks,
             element_order: ElementOrder::MultilevelCuthillMcKee { block: 64 },
             legacy_two_pass_materials: false,
         }

@@ -2,25 +2,15 @@
 //! per-rank local meshes with halo communication lists.
 //!
 //! Shell elements go to the slice of their chunk tile (paper Figure 4). The
-//! central cube either lands entirely on one rank — the historical
-//! bottleneck — or is *cut in two* across ranks of opposite chunks, the
-//! §1 improvement ("reduction of the central cube bottleneck by cutting the
-//! cube in two").
+//! central cube is *cut in two* across ranks of opposite chunks, the §1
+//! improvement over the historical whole-cube-on-one-rank bottleneck
+//! ("reduction of the central cube bottleneck by cutting the cube in two").
 
 use specfem_comm::{HaloPlan, Neighbor};
 
 use crate::build::{ElementHome, GlobalMesh};
 use crate::local::LocalMesh;
 use crate::numbering::element_permutation;
-
-/// How central-cube elements are assigned to ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CubeAssignment {
-    /// Whole cube on one rank (the pre-optimization bottleneck).
-    SingleRank,
-    /// Cube cut in two halves assigned to ranks of opposite chunks.
-    TwoRanks,
-}
 
 /// Element → rank assignment for a mesh.
 #[derive(Debug, Clone)]
@@ -52,16 +42,13 @@ impl Partition {
                     let ty = iy as usize / nex_per;
                     (chunk as usize * nproc * nproc + ty * nproc + tx) as u32
                 }
-                ElementHome::Cube { k, .. } => match mesh.params.cube_assignment {
-                    CubeAssignment::SingleRank => cube_rank_a,
-                    CubeAssignment::TwoRanks => {
-                        if (k as usize) < mesh.params.nex_xi / 2 {
-                            cube_rank_b
-                        } else {
-                            cube_rank_a
-                        }
+                ElementHome::Cube { k, .. } => {
+                    if (k as usize) < mesh.params.nex_xi / 2 {
+                        cube_rank_b
+                    } else {
+                        cube_rank_a
                     }
-                },
+                }
             })
             .collect();
         Partition { num_ranks, rank_of }
@@ -371,16 +358,13 @@ mod tests {
     use crate::{MeshParams, MeshRegion};
     use specfem_model::Prem;
 
-    fn mesh_with(nex: usize, nproc: usize, cube: CubeAssignment) -> GlobalMesh {
-        let mut params = MeshParams::new(nex, nproc);
-        params.cube_assignment = cube;
-        let prem = Prem::isotropic_no_ocean();
-        GlobalMesh::build(&params, &prem)
+    fn mesh_with(nex: usize, nproc: usize) -> GlobalMesh {
+        GlobalMesh::build(&MeshParams::new(nex, nproc), &Prem::isotropic_no_ocean())
     }
 
     #[test]
     fn every_element_gets_exactly_one_rank() {
-        let mesh = mesh_with(4, 2, CubeAssignment::TwoRanks);
+        let mesh = mesh_with(4, 2);
         let part = Partition::compute(&mesh);
         assert_eq!(part.rank_of.len(), mesh.nspec);
         assert_eq!(part.num_ranks, 24);
@@ -391,7 +375,7 @@ mod tests {
 
     #[test]
     fn shell_slices_are_perfectly_balanced() {
-        let mesh = mesh_with(4, 2, CubeAssignment::TwoRanks);
+        let mesh = mesh_with(4, 2);
         let part = Partition::compute(&mesh);
         // Count shell elements per rank: all equal by construction.
         let mut shell_load = vec![0usize; part.num_ranks];
@@ -405,35 +389,25 @@ mod tests {
     }
 
     #[test]
-    fn cube_single_rank_vs_two_ranks() {
-        let m1 = mesh_with(4, 2, CubeAssignment::SingleRank);
-        let p1 = Partition::compute(&m1);
-        let m2 = mesh_with(4, 2, CubeAssignment::TwoRanks);
-        let p2 = Partition::compute(&m2);
-        let cube_ranks = |mesh: &GlobalMesh, part: &Partition| {
-            let mut ranks: Vec<u32> = mesh
-                .home
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| matches!(h, ElementHome::Cube { .. }))
-                .map(|(e, _)| part.rank_of[e])
-                .collect();
-            ranks.sort_unstable();
-            ranks.dedup();
-            ranks
-        };
-        assert_eq!(cube_ranks(&m1, &p1).len(), 1);
-        let two = cube_ranks(&m2, &p2);
-        assert_eq!(two.len(), 2);
-        // Max load drops when the cube is cut in two.
-        let max1 = *p1.load().iter().max().unwrap();
-        let max2 = *p2.load().iter().max().unwrap();
-        assert!(max2 < max1, "cutting the cube must reduce peak load");
+    fn cube_is_cut_across_two_ranks_of_opposite_chunks() {
+        let mesh = mesh_with(4, 2);
+        let part = Partition::compute(&mesh);
+        let mut cube_ranks: Vec<u32> = mesh
+            .home
+            .iter()
+            .enumerate()
+            .filter(|(_, h)| matches!(h, ElementHome::Cube { .. }))
+            .map(|(e, _)| part.rank_of[e])
+            .collect();
+        cube_ranks.sort_unstable();
+        cube_ranks.dedup();
+        // First slice of chunk 0 (+Z) and of chunk 1 (−Z).
+        assert_eq!(cube_ranks, vec![0, 4]);
     }
 
     #[test]
     fn local_meshes_cover_global_mesh_exactly() {
-        let mesh = mesh_with(4, 2, CubeAssignment::TwoRanks);
+        let mesh = mesh_with(4, 2);
         let part = Partition::compute(&mesh);
         let locals = part.extract_all(&mesh);
         let total: usize = locals.iter().map(|l| l.nspec).sum();
@@ -451,7 +425,7 @@ mod tests {
 
     #[test]
     fn halo_plans_are_symmetric() {
-        let mesh = mesh_with(4, 2, CubeAssignment::TwoRanks);
+        let mesh = mesh_with(4, 2);
         let part = Partition::compute(&mesh);
         let locals = part.extract_all(&mesh);
         for l in &locals {
@@ -480,7 +454,7 @@ mod tests {
     fn halo_points_lie_on_slice_boundaries() {
         // Shared points must be shared: every halo point's global id must be
         // referenced by elements of both ranks.
-        let mesh = mesh_with(4, 2, CubeAssignment::TwoRanks);
+        let mesh = mesh_with(4, 2);
         let part = Partition::compute(&mesh);
         let l0 = part.extract(&mesh, 0);
         assert!(!l0.halo.neighbors.is_empty(), "rank 0 must have neighbours");
@@ -502,7 +476,7 @@ mod tests {
 
     #[test]
     fn serial_partition_has_everything_no_halo() {
-        let mesh = mesh_with(4, 2, CubeAssignment::TwoRanks);
+        let mesh = mesh_with(4, 2);
         let part = Partition::serial(&mesh);
         let local = part.extract(&mesh, 0);
         assert_eq!(local.nspec, mesh.nspec);
@@ -524,7 +498,7 @@ mod tests {
 
     #[test]
     fn outer_elements_cover_all_halo_points_and_inner_none() {
-        let mesh = mesh_with(4, 2, CubeAssignment::TwoRanks);
+        let mesh = mesh_with(4, 2);
         let part = Partition::compute(&mesh);
         for l in part.extract_all(&mesh) {
             let n3 = l.points_per_element();
@@ -577,7 +551,7 @@ mod tests {
 
     #[test]
     fn serial_extract_has_no_outer_elements() {
-        let mesh = mesh_with(4, 2, CubeAssignment::TwoRanks);
+        let mesh = mesh_with(4, 2);
         let local = Partition::serial(&mesh).extract(&mesh, 0);
         assert_eq!(local.nspec_outer, 0);
         assert_eq!(local.outer_elements(), 0..0);
@@ -589,7 +563,7 @@ mod tests {
         // Re-extracting must give the identical element order (determinism),
         // and the split must preserve relative order within each class
         // versus the unsplit Cuthill-McKee ordering.
-        let mesh = mesh_with(4, 2, CubeAssignment::TwoRanks);
+        let mesh = mesh_with(4, 2);
         let part = Partition::compute(&mesh);
         let a = part.extract(&mesh, 5);
         let b = part.extract(&mesh, 5);
@@ -607,7 +581,7 @@ mod tests {
 
     #[test]
     fn balanced_partition_works_at_arbitrary_world_sizes() {
-        let mesh = mesh_with(4, 1, CubeAssignment::TwoRanks);
+        let mesh = mesh_with(4, 1);
         for nranks in [1usize, 2, 3, 4, 5, 7, 8] {
             let part = Partition::balanced(&mesh, nranks);
             assert_eq!(part.num_ranks, nranks);
@@ -626,7 +600,7 @@ mod tests {
 
     #[test]
     fn local_materials_match_global() {
-        let mesh = mesh_with(4, 2, CubeAssignment::TwoRanks);
+        let mesh = mesh_with(4, 2);
         let part = Partition::compute(&mesh);
         let l = part.extract(&mesh, 3);
         let n3 = mesh.points_per_element();

@@ -6,15 +6,14 @@
 //!               [--batch-lanes K] [--batch-window-ms MS]
 //! ```
 //!
-//! Knobs come from the Par_file (`SERVE_ADDR`, `RESULT_CACHE_BYTES`,
+//! Settings come from the Par_file (`SERVE_ADDR`, `RESULT_CACHE_BYTES`,
 //! `REQUEST_DEADLINE_MS`, `BATCH_MAX_LANES`, `BATCH_WINDOW_MS`; see
-//! `specfem_core::parfile::ServeKnobs`) with flags overriding. The
+//! `ServeConfig::from_parfile`) with flags overriding. The
 //! process prints the bound address on stdout (`SERVE_LISTENING <addr>`)
 //! and blocks until `POST /shutdown`.
 
 use std::path::PathBuf;
 
-use specfem_core::parfile::serve_knobs_from_parfile;
 use specfem_serve::{serve, ServeConfig};
 
 fn main() {
@@ -68,15 +67,12 @@ fn main() {
         }
     }
 
-    let knobs = match &parfile {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-            serve_knobs_from_parfile(&text).unwrap_or_else(|e| panic!("bad Par_file: {e}"))
-        }
-        None => Default::default(),
-    };
-    let mut cfg = ServeConfig::from_knobs(&knobs, data_dir);
+    let text = parfile.map_or_else(String::new, |path| {
+        std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+    });
+    let mut cfg =
+        ServeConfig::from_parfile(&text, data_dir).unwrap_or_else(|e| panic!("bad Par_file: {e}"));
     if let Some(addr) = addr {
         cfg.addr = addr;
     }

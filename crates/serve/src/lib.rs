@@ -54,7 +54,6 @@ use std::time::{Duration, Instant};
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use specfem_campaign::{Campaign, CampaignConfig, Job};
 use specfem_core::obs::ledger::{self, LedgerMachine, LedgerRecord, LEDGER_SCHEMA_VERSION};
-use specfem_core::parfile::ServeKnobs;
 use specfem_core::Simulation;
 use specfem_io::{CachedResult, ResultCache, ResultCacheOutcome, ResultKey};
 use specfem_obs::{
@@ -62,9 +61,9 @@ use specfem_obs::{
     perfetto_tracks, TraceId, Track, TrackEvent,
 };
 
-/// Daemon configuration. [`ServeConfig::from_knobs`] maps the Par_file
-/// knobs (`SERVE_ADDR`, `RESULT_CACHE_BYTES`, `REQUEST_DEADLINE_MS`)
-/// onto it.
+/// Daemon configuration. [`ServeConfig::from_parfile`] reads the Par_file
+/// keys (`SERVE_ADDR`, `RESULT_CACHE_BYTES`, `REQUEST_DEADLINE_MS`,
+/// `BATCH_MAX_LANES`, `BATCH_WINDOW_MS`) into it.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// TCP listen address; `127.0.0.1:0` picks a free port.
@@ -100,23 +99,91 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Build from parsed Par_file knobs plus a state directory.
-    pub fn from_knobs(knobs: &ServeKnobs, data_dir: impl Into<PathBuf>) -> Self {
-        Self {
-            addr: knobs.addr.clone(),
-            result_cache_bytes: knobs.result_cache_bytes,
-            request_deadline: match knobs.request_deadline_ms {
-                0 => None,
-                ms => Some(Duration::from_millis(ms)),
-            },
+    /// Read the daemon's keys from Par_file text, plus a state directory.
+    /// Every key is optional; an absent one keeps its default:
+    ///
+    /// ```text
+    /// SERVE_ADDR          = 127.0.0.1:7460  # listen address
+    /// RESULT_CACHE_BYTES  = 64M             # result-cache memory tier (K/M/G ok)
+    /// REQUEST_DEADLINE_MS = 30000           # per-request deadline, 0 = none
+    /// BATCH_MAX_LANES     = 1               # events fused per solve, 1 = batching off
+    /// BATCH_WINDOW_MS     = 0               # wait for batch-mates before solving
+    /// ```
+    ///
+    /// Keys of other readers are ignored, so one file can configure the
+    /// simulations and the daemon serving them.
+    pub fn from_parfile(text: &str, data_dir: impl Into<PathBuf>) -> Result<Self, String> {
+        let pairs = specfem_core::parfile::parse_pairs(text);
+        let get = |key: &str| -> Option<&str> {
+            pairs
+                .iter()
+                .rev() // last assignment wins
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.as_str())
+        };
+        let millis = |key: &str| -> Result<Option<u64>, String> {
+            get(key)
+                .map(|v| {
+                    v.parse()
+                        .map_err(|_| format!("{key}: not a millisecond count: {v}"))
+                })
+                .transpose()
+        };
+        let mut cfg = Self {
+            addr: "127.0.0.1:7460".to_string(),
+            result_cache_bytes: 64 << 20,
+            request_deadline: Some(Duration::from_millis(30_000)),
             workers: 0,
             data_dir: data_dir.into(),
             ledger_dir: None,
             ledger_batch: 32,
-            batch_max_lanes: knobs.batch_max_lanes,
-            batch_window_ms: knobs.batch_window_ms,
+            batch_max_lanes: 1,
+            batch_window_ms: 0,
+        };
+        if let Some(v) = get("SERVE_ADDR") {
+            cfg.addr = v.to_string();
         }
+        if let Some(v) = get("RESULT_CACHE_BYTES") {
+            cfg.result_cache_bytes = parse_bytes("RESULT_CACHE_BYTES", v)?;
+        }
+        if let Some(ms) = millis("REQUEST_DEADLINE_MS")? {
+            cfg.request_deadline = (ms > 0).then(|| Duration::from_millis(ms));
+        }
+        if let Some(v) = get("BATCH_MAX_LANES") {
+            let max = specfem_core::kernels::MAX_BATCH_LANES;
+            cfg.batch_max_lanes = match v.parse() {
+                Ok(lanes) if (1..=max).contains(&lanes) => lanes,
+                Ok(_) => return Err(format!("BATCH_MAX_LANES: must be in 1..={max}, got {v}")),
+                Err(_) => return Err(format!("BATCH_MAX_LANES: not a lane count: {v}")),
+            };
+        }
+        if let Some(ms) = millis("BATCH_WINDOW_MS")? {
+            cfg.batch_window_ms = ms;
+        }
+        Ok(cfg)
     }
+}
+
+/// Parse a byte count with an optional `K`/`M`/`G` (or `KB`/`MB`/`GB`)
+/// suffix, case-insensitive: `512M` → 536870912.
+fn parse_bytes(key: &str, v: &str) -> Result<usize, String> {
+    let upper = v.trim().to_uppercase();
+    let (digits, shift) = match upper.strip_suffix("KB").or(upper.strip_suffix('K')) {
+        Some(d) => (d, 10),
+        None => match upper.strip_suffix("MB").or(upper.strip_suffix('M')) {
+            Some(d) => (d, 20),
+            None => match upper.strip_suffix("GB").or(upper.strip_suffix('G')) {
+                Some(d) => (d, 30),
+                None => (upper.as_str(), 0),
+            },
+        },
+    };
+    let n: usize = digits
+        .trim()
+        .parse()
+        .map_err(|_| format!("{key}: not a byte count: {v}"))?;
+    n.checked_mul(1 << shift)
+        .ok_or_else(|| format!("{key}: byte count overflows: {v}"))
 }
 
 /// What a waiter on an in-flight solve receives.
@@ -951,7 +1018,65 @@ pub mod client {
 
 #[cfg(all(test, target_os = "linux", target_env = "gnu"))]
 mod tests {
-    use super::pin_mmap_threshold;
+    use super::{pin_mmap_threshold, ServeConfig};
+    use std::time::Duration;
+
+    #[test]
+    fn from_parfile_reads_every_serve_key() {
+        let parse = |text: &str| ServeConfig::from_parfile(text, "state");
+        // Defaults when absent; keys of other readers are ignored.
+        let cfg = parse("NEX_XI = 8\n").unwrap();
+        assert_eq!(cfg.addr, "127.0.0.1:7460");
+        assert_eq!(cfg.result_cache_bytes, 64 << 20);
+        assert_eq!(cfg.request_deadline, Some(Duration::from_secs(30)));
+        assert_eq!((cfg.batch_max_lanes, cfg.batch_window_ms), (1, 0));
+        assert_eq!(cfg.data_dir, std::path::Path::new("state"));
+
+        let cfg = parse(
+            "SERVE_ADDR = 0.0.0.0:8080\nRESULT_CACHE_BYTES = 16M\nREQUEST_DEADLINE_MS = 500\n\
+             BATCH_MAX_LANES = 4\nBATCH_WINDOW_MS = 250\n",
+        )
+        .unwrap();
+        assert_eq!(cfg.addr, "0.0.0.0:8080");
+        assert_eq!(cfg.result_cache_bytes, 16 << 20);
+        assert_eq!(cfg.request_deadline, Some(Duration::from_millis(500)));
+        assert_eq!((cfg.batch_max_lanes, cfg.batch_window_ms), (4, 250));
+        // An explicit zero turns the deadline off.
+        assert_eq!(
+            parse("REQUEST_DEADLINE_MS = 0\n").unwrap().request_deadline,
+            None
+        );
+        // The lane ceiling itself is accepted; bounds are enforced, not
+        // clamped silently.
+        let max = specfem_core::kernels::MAX_BATCH_LANES;
+        let cfg = parse(&format!("BATCH_MAX_LANES = {max}\n")).unwrap();
+        assert_eq!(cfg.batch_max_lanes, max);
+        for bad in [
+            "RESULT_CACHE_BYTES = big\n".to_string(),
+            "REQUEST_DEADLINE_MS = soon\n".to_string(),
+            "BATCH_MAX_LANES = 0\n".to_string(),
+            format!("BATCH_MAX_LANES = {}\n", max + 1),
+            "BATCH_MAX_LANES = lots\n".to_string(),
+            "BATCH_WINDOW_MS = soon\n".to_string(),
+        ] {
+            assert!(parse(&bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn byte_counts_take_suffixes_and_refuse_to_wrap() {
+        let bytes = |v: &str| super::parse_bytes("RESULT_CACHE_BYTES", v);
+        assert_eq!(bytes("1234567"), Ok(1_234_567));
+        assert_eq!(bytes("16kb"), Ok(16 << 10));
+        assert_eq!(bytes("512M"), Ok(512 << 20));
+        assert_eq!(bytes("2G"), Ok(2 << 30));
+        assert!(bytes("1T").unwrap_err().contains("not a byte count"));
+        // 99999999999 × 2³⁰ does not fit in 64 bits.
+        assert_eq!(
+            bytes("99999999999G"),
+            Err("RESULT_CACHE_BYTES: byte count overflows: 99999999999G".to_string())
+        );
+    }
 
     /// Minor page faults of the calling thread so far.
     fn thread_faults() -> u64 {

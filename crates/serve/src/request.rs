@@ -8,7 +8,7 @@
 //! quietly running the wrong physics.
 
 use serde_json::Value;
-use specfem_core::{KernelVariant, ModelChoice, Simulation, Station};
+use specfem_core::{ModelChoice, Simulation, Station};
 use specfem_obs::json_escape;
 
 /// Hard ceilings on request size — a public daemon must bound the work
@@ -88,8 +88,6 @@ pub struct SimRequest {
     pub gravity: bool,
     /// See `attenuation`.
     pub oceans: bool,
-    /// Force kernel variant.
-    pub kernel: KernelVariant,
     /// Per-request deadline override in ms (`None` = server default).
     pub deadline_ms: Option<u64>,
     /// Scheduling priority (higher runs earlier).
@@ -168,7 +166,6 @@ const KNOWN_FIELDS: &[&str] = &[
     "rotation",
     "gravity",
     "oceans",
-    "kernel",
     "deadline_ms",
     "priority",
 ];
@@ -213,17 +210,6 @@ pub fn parse_request(body: &[u8]) -> Result<SimRequest, ServeError> {
             return Err(ServeError::bad_request(
                 "unknown_model",
                 format!("unknown model: {other} (expected prem, prem_iso, prem_3d, homogeneous)"),
-            ))
-        }
-    };
-    let kernel = match field_str(&root, "kernel")? {
-        None | Some("reference") => KernelVariant::Reference,
-        Some("simd") => KernelVariant::Simd,
-        Some("blas") => KernelVariant::BlasStyle,
-        Some(other) => {
-            return Err(ServeError::bad_request(
-                "unknown_kernel",
-                format!("unknown kernel: {other} (expected reference, simd, blas)"),
             ))
         }
     };
@@ -330,7 +316,6 @@ pub fn parse_request(body: &[u8]) -> Result<SimRequest, ServeError> {
         rotation: field_bool(&root, "rotation")?.unwrap_or(false),
         gravity: field_bool(&root, "gravity")?.unwrap_or(false),
         oceans: field_bool(&root, "oceans")?.unwrap_or(false),
-        kernel,
         deadline_ms: field_u64(&root, "deadline_ms", u64::MAX / 2)?,
         priority,
     })
@@ -347,8 +332,7 @@ impl SimRequest {
             .attenuation(self.attenuation)
             .rotation(self.rotation)
             .gravity(self.gravity)
-            .ocean_load(self.oceans)
-            .kernel(self.kernel);
+            .ocean_load(self.oceans);
         if let Some(event) = &self.event {
             b = b.catalogue_event(event);
         }
@@ -385,7 +369,7 @@ mod tests {
         let body = br#"{
             "resolution": 8, "steps": 10, "model": "prem", "event": "argentina_deep",
             "stations": [{"name": "ANMO", "lat_deg": 34.9, "lon_deg": -106.5}],
-            "attenuation": true, "kernel": "simd", "deadline_ms": 2000, "priority": 5
+            "attenuation": true, "deadline_ms": 2000, "priority": 5
         }"#;
         let req = parse_request(body).unwrap();
         assert_eq!(req.stations.len(), 1);
@@ -415,6 +399,12 @@ mod tests {
         );
         assert_eq!(
             err_code("{\"resolution\": 8, \"steps\": 5, \"atenuation\": true}"),
+            "unknown_field"
+        );
+        // The ablation kernel is not a request field: one answer, one
+        // result-cache entry, whatever the client sends.
+        assert_eq!(
+            err_code("{\"resolution\": 8, \"steps\": 5, \"kernel\": \"simd\"}"),
             "unknown_field"
         );
         assert_eq!(

@@ -1,12 +1,12 @@
 //! A multi-event campaign: run the whole built-in CMT catalogue against
-//! one shared Earth mesh on a bounded worker pool, with mesh-affinity
-//! scheduling, automatic retry, and a campaign report.
+//! one shared Earth mesh on a bounded worker pool, with priorities,
+//! automatic retry, and a campaign report.
 //!
 //! ```sh
 //! cargo run --release --example event_campaign
 //! ```
 
-use specfem_campaign::{Campaign, CampaignConfig, Job, SchedulePolicy};
+use specfem_campaign::{Campaign, CampaignConfig, Job};
 use specfem_core::model::builtin_events;
 use specfem_core::{Simulation, SourceSpec, SourceTimeFunction, StfKind};
 
@@ -19,7 +19,6 @@ fn main() {
 
     let mut campaign = Campaign::new(CampaignConfig {
         workers: 0, // auto-size to the machine
-        policy: SchedulePolicy::MeshAffinity,
         mesh_cache_bytes: 256 << 20,
         ..CampaignConfig::default()
     });
