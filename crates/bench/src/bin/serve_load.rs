@@ -22,9 +22,7 @@
 //! keeping the mesh and timeloop shape fixed — the duplicate-mesh /
 //! different-source mix that `--batch-lanes K` (with a fuse window) can
 //! coalesce into multi-event solves, so E-BATCH can measure batched
-//! serving against the single-lane baseline. Batched runs drop the
-//! request deadline: a deadline becomes the solver watchdog, which
-//! forces the single-lane path.
+//! serving against the single-lane baseline.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -148,13 +146,7 @@ fn main() {
     let daemon = serve(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         result_cache_bytes: 64 << 20,
-        // A request deadline becomes the solver watchdog, which keeps a
-        // job on the single-lane path — batched runs must not set one.
-        request_deadline: if flags.batch_lanes > 1 {
-            None
-        } else {
-            Some(Duration::from_secs(600))
-        },
+        request_deadline: Some(Duration::from_secs(600)),
         workers: 2,
         data_dir: data_dir.clone(),
         ledger_dir: None,

@@ -17,6 +17,13 @@
 //!   a fault-injected job finishes bit-identical to a clean run. Jobs
 //!   fused into one solve go through the same attempt loop: a failure of
 //!   the shared solve is attempt 1 of each, and they continue alone.
+//! * **One sink** — each [`JobOutcome`] goes, by value, to exactly one
+//!   consumer fixed at construction: [`Campaign::new`] collects them for
+//!   [`Campaign::finish`]; [`Campaign::streaming`] hands each to the
+//!   caller's closure on the worker thread as its job completes and
+//!   keeps none (the serve daemon). The threads are the caller's and the
+//!   workers'; a failure is classified by the error itself
+//!   (`SolverError::{class, coordinates, peer_lost}`), not here.
 //! * **Observability** — a [`CampaignReport`] (per-job wall time, queue
 //!   wait, cache outcome, retries, aggregate element·steps/s) in text
 //!   and JSON, plus a merged Perfetto timeline with one track per
@@ -71,33 +78,6 @@ impl Default for RetryPolicy {
             backoff: Duration::from_millis(10),
         }
     }
-}
-
-/// Whether a failed attempt of a distributed job is the kind elastic
-/// recovery routes around: a rank that died or wedged. The next attempt
-/// is then re-admitted on a world one rank smaller (floor 1) instead of
-/// replaying the same doomed decomposition — checkpoints are rank-count
-/// independent, so the shrunken world resumes from the last good
-/// generation, and the degradation is recorded in [`JobTelemetry`] and
-/// the [`CampaignReport`].
-///
-/// A dead peer presents to survivors as `RankDead`, `Stalled`,
-/// `Disconnected`, or — when the receive deadline fires before the dead
-/// rank's channel drops — a plain `Timeout`; from the receiver's seat
-/// those are the same event, so all four shrink. Health trips, protocol
-/// corruption, and checkpoint-store failures would fail on any world size.
-fn shrinkable(e: &specfem_core::solver::SolverError) -> bool {
-    use specfem_core::comm::CommError;
-    use specfem_core::solver::SolverError;
-    matches!(
-        e,
-        SolverError::Comm(
-            CommError::RankDead { .. }
-                | CommError::Stalled { .. }
-                | CommError::Disconnected { .. }
-                | CommError::Timeout { .. }
-        ) | SolverError::RankPanicked { .. }
-    )
 }
 
 /// How a job's solver runs.
@@ -272,16 +252,18 @@ struct QueueState {
     outcomes: Vec<JobOutcome>,
 }
 
-/// Job-completion hook: runs on the worker thread, with no campaign lock
-/// held, right before the outcome lands in the drainable backlog.
-type CompletionCallback = Arc<dyn Fn(&JobOutcome) + Send + Sync>;
+/// Where a streaming campaign's outcomes go: called on the worker thread
+/// that finished the job, with no campaign lock held.
+type OutcomeSink = Box<dyn Fn(JobOutcome) + Send + Sync>;
 
 struct Shared {
     cfg: CampaignConfig,
     cache: MeshCache,
     state: Mutex<QueueState>,
     cond: Condvar,
-    on_complete: Mutex<Option<CompletionCallback>>,
+    /// The one consumer of finished outcomes, fixed at construction:
+    /// `None` collects them for [`Campaign::finish`].
+    sink: Option<OutcomeSink>,
 }
 
 /// The campaign runtime: submit jobs, then [`Campaign::finish`].
@@ -289,14 +271,30 @@ pub struct Campaign {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     submitted: usize,
-    drained: usize,
     widest_job_threads: usize,
     started: Instant,
 }
 
 impl Campaign {
-    /// Create an idle campaign; workers spawn lazily as jobs arrive.
+    /// Create an idle batch campaign — every outcome comes back from
+    /// [`Campaign::finish`]; workers spawn lazily as jobs arrive.
     pub fn new(cfg: CampaignConfig) -> Self {
+        Self::with_sink(cfg, None)
+    }
+
+    /// Create an idle campaign that hands each [`JobOutcome`] to `sink`
+    /// the instant its job completes — on the worker thread, with no
+    /// campaign lock held — and keeps none: [`Campaign::finish`] returns
+    /// an empty backlog. A long-running caller (the serve daemon) answers
+    /// its waiting connections from here and retains nothing per job.
+    pub fn streaming(
+        cfg: CampaignConfig,
+        sink: impl Fn(JobOutcome) + Send + Sync + 'static,
+    ) -> Self {
+        Self::with_sink(cfg, Some(Box::new(sink)))
+    }
+
+    fn with_sink(cfg: CampaignConfig, sink: Option<OutcomeSink>) -> Self {
         let cache = MeshCache::new(cfg.mesh_cache_bytes);
         Self {
             shared: Arc::new(Shared {
@@ -308,11 +306,10 @@ impl Campaign {
                     outcomes: Vec::new(),
                 }),
                 cond: Condvar::new(),
-                on_complete: Mutex::new(None),
+                sink,
             }),
             handles: Vec::new(),
             submitted: 0,
-            drained: 0,
             widest_job_threads: 1,
             started: Instant::now(),
         }
@@ -321,35 +318,6 @@ impl Campaign {
     /// The worker-pool size the campaign has scaled to so far.
     pub fn workers(&self) -> usize {
         self.handles.len()
-    }
-
-    /// Install (or replace) a job-completion callback. It runs on the
-    /// worker thread that finished the job, with no campaign lock held,
-    /// *before* the outcome joins the drainable backlog — a long-running
-    /// caller (the serve daemon) uses it to answer a waiting connection
-    /// the instant its job completes, instead of polling
-    /// [`Campaign::drain`].
-    pub fn on_completion(&self, f: impl Fn(&JobOutcome) + Send + Sync + 'static) {
-        *self.shared.on_complete.lock().unwrap() = Some(Arc::new(f));
-    }
-
-    /// Collect finished outcomes **without** ending the campaign: the
-    /// worker pool stays up and more jobs may be submitted afterwards.
-    /// Returns everything completed since the previous drain, in
-    /// submission order. Outcomes taken here no longer appear in the
-    /// [`CampaignResult`] that [`Campaign::finish`] eventually builds —
-    /// a daemon drains continuously and builds its own rollups.
-    pub fn drain(&mut self) -> Vec<JobOutcome> {
-        let mut out = std::mem::take(&mut self.shared.state.lock().unwrap().outcomes);
-        out.sort_by_key(|o| o.index);
-        self.drained += out.len();
-        out
-    }
-
-    /// Jobs submitted but not yet finished (queued or running).
-    pub fn in_flight(&self) -> usize {
-        let st = self.shared.state.lock().unwrap();
-        self.submitted - self.drained - st.outcomes.len()
     }
 
     /// Enqueue a job. Blocks while the queue is at
@@ -398,8 +366,9 @@ impl Campaign {
     }
 
     /// Declare the job stream closed, wait for every job to finish, and
-    /// return outcomes (submission order) plus the campaign report. Only
-    /// outcomes not already taken by [`Campaign::drain`] appear here.
+    /// return outcomes (submission order) plus the campaign report. A
+    /// [`Campaign::streaming`] campaign has already delivered every
+    /// outcome to its sink, so it returns none here.
     pub fn finish(self) -> CampaignResult {
         {
             let mut st = self.shared.state.lock().unwrap();
@@ -546,15 +515,9 @@ fn worker_loop(shared: Arc<Shared>, worker_id: usize) {
             }
         };
         let outcomes = run_group(&shared, worker_id, batch);
-        // Completion hook first (lock dropped before the call), so a
-        // waiting daemon connection is answered before the outcome even
-        // reaches the drainable backlog.
-        let cb = shared.on_complete.lock().unwrap().clone();
-        for outcome in outcomes {
-            if let Some(cb) = &cb {
-                cb(&outcome);
-            }
-            shared.state.lock().unwrap().outcomes.push(outcome);
+        match &shared.sink {
+            Some(sink) => outcomes.into_iter().for_each(sink),
+            None => shared.state.lock().unwrap().outcomes.extend(outcomes),
         }
         // The batch's mesh Arc is dropped: admission-control waiters may
         // now be able to evict it.
@@ -589,10 +552,11 @@ impl Member {
         if !again {
             self.result = Some(Err(message));
         } else if self.queued.job.mode == JobMode::Distributed
-            && failure.is_some_and(|f| shrinkable(&f.error))
+            && failure.is_some_and(|f| f.error.peer_lost())
         {
             // Shrink-to-survive: one rank is gone, so re-admit the
-            // survivors on a world one rank smaller. The merged checkpoint
+            // survivors on a world one rank smaller instead of replaying
+            // the same doomed decomposition. The merged checkpoint
             // container is rank-count independent — the shrunken world
             // resumes from the last good generation.
             let cur = self
@@ -832,16 +796,14 @@ fn roll_up_result(t: &mut JobTelemetry, res: &SimulationResult) {
 /// Record the structured cause of a failed attempt (health trip, watchdog
 /// stall) before it is flattened to the outcome's error string.
 fn roll_up_error(t: &mut JobTelemetry, e: &specfem_core::solver::SolverError) {
-    use specfem_core::comm::CommError;
-    use specfem_core::solver::SolverError;
-    match e {
-        SolverError::Health(report) if t.health_trip.is_none() => {
-            t.health_trip = Some(report.to_string());
+    use specfem_core::solver::FailureClass;
+    match (e.class(), e.coordinates().0) {
+        (FailureClass::Health, _) if t.health_trip.is_none() => {
+            // A health error displays as its report.
+            t.health_trip = Some(e.to_string());
         }
-        SolverError::Comm(CommError::Stalled { rank, .. })
-            if !t.watchdog_stalled_ranks.contains(rank) =>
-        {
-            t.watchdog_stalled_ranks.push(*rank);
+        (FailureClass::Stall, Some(rank)) if !t.watchdog_stalled_ranks.contains(&rank) => {
+            t.watchdog_stalled_ranks.push(rank);
         }
         _ => {}
     }
@@ -1154,46 +1116,40 @@ mod tests {
     }
 
     #[test]
-    fn drain_and_callback_keep_the_pool_alive() {
-        // The daemon's usage pattern: collect outcomes while the worker
-        // pool stays up, submit more afterwards, never call finish()
-        // until shutdown.
-        let completed: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut campaign = Campaign::new(CampaignConfig {
-            workers: 1,
-            ..CampaignConfig::default()
-        });
-        let sink = completed.clone();
-        campaign.on_completion(move |o| sink.lock().unwrap().push(o.name.clone()));
+    fn streamed_outcomes_keep_the_pool_alive() {
+        // The daemon's usage pattern: outcomes are consumed as they
+        // complete while the worker pool stays up, more jobs are submitted
+        // afterwards, and finish() is only called at shutdown.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx = Mutex::new(tx);
+        let mut campaign = Campaign::streaming(
+            CampaignConfig {
+                workers: 1,
+                ..CampaignConfig::default()
+            },
+            move |o| tx.lock().unwrap().send(o).unwrap(),
+        );
+        let next = || {
+            rx.recv_timeout(Duration::from_secs(120))
+                .expect("jobs wedged")
+        };
         campaign.submit(Job::new("d0", tiny_sim(4, 3, 0)));
         campaign.submit(Job::new("d1", tiny_sim(4, 3, 1)));
-        let wait_for = |campaign: &Campaign, n: usize| {
-            let t0 = Instant::now();
-            while campaign.in_flight() > 0 {
-                assert!(t0.elapsed() < Duration::from_secs(120), "jobs wedged");
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            let _ = n;
-        };
-        wait_for(&campaign, 2);
-        assert_eq!(completed.lock().unwrap().len(), 2);
-        let first = campaign.drain();
-        assert_eq!(first.len(), 2);
+        // One worker: delivered by value, once each, in dispatch order.
+        let first = [next(), next()];
         assert_eq!(first[0].name, "d0");
         assert_eq!(first[1].name, "d1");
         assert!(first.iter().all(|o| o.result.is_ok()));
-        assert!(campaign.drain().is_empty(), "drain must not re-deliver");
-        // The pool is still alive: a third job runs on the same workers.
+        // The pool is still alive: a third job runs on the same worker.
         campaign.submit(Job::new("d2", tiny_sim(4, 3, 2)));
-        wait_for(&campaign, 3);
-        let second = campaign.drain();
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].name, "d2");
-        assert_eq!(completed.lock().unwrap().len(), 3);
-        // finish() still works and reports only undrained outcomes.
+        let third = next();
+        assert_eq!((third.name.as_str(), third.worker), ("d2", 0));
+        assert_eq!(campaign.workers(), 1);
+        // finish() still works; everything went to the sink, nothing is
+        // kept or delivered twice.
         let result = campaign.finish();
         assert!(result.outcomes.is_empty());
-        assert!(result.all_ok());
+        assert!(rx.try_recv().is_err());
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //! in the crate root). The property tests drive the same function over
 //! plain keys.
 
-use specfem_core::Simulation;
-
 use crate::{Job, JobMode};
 
 /// The fusion identity of a batchable job: jobs fuse iff their keys are
@@ -34,20 +32,14 @@ pub struct BatchKey {
 /// The fusion identity of a job, or `None` when the job must run alone:
 /// distributed mode (workers fuse serial jobs only), or a configuration
 /// [`specfem_core::batch::batchable`] refuses (per-lane data the solver
-/// does not carry yet; a deadline-armed watchdog).
+/// does not carry yet; an armed watchdog).
 pub fn batch_key(job: &Job) -> Option<BatchKey> {
     if job.mode != JobMode::Serial {
         return None;
     }
-    batch_key_sim(&job.sim)
-}
-
-/// [`batch_key`] on a bare simulation (the serve daemon keys requests
-/// before wrapping them in jobs).
-pub fn batch_key_sim(sim: &Simulation) -> Option<BatchKey> {
-    let compat = specfem_core::batch::batch_compat_key(sim)?;
+    let compat = specfem_core::batch::batch_compat_key(&job.sim)?;
     Some(BatchKey {
-        mesh: sim.mesh_key().fingerprint(),
+        mesh: job.sim.mesh_key().fingerprint(),
         compat,
     })
 }

@@ -12,10 +12,11 @@ use crate::{hash_shared_physics, ResultFnv, Simulation};
 /// May this simulation ride as one lane of a fused solve? The solver
 /// states which configurations still need per-lane data it does not carry
 /// (`specfem_solver::lanes_supported`); on top of that only one policy
-/// remains: a deadline-bearing request arms the straggler watchdog, which
-/// is per-solve, and a fused solve must not let one lane's deadline kill
-/// its siblings. Anything rejected here simply runs alone — fusing is an
-/// optimization, never a requirement.
+/// remains: an armed straggler watchdog is per-solve, and a fused solve
+/// must not let one lane's timeout kill its siblings. (The serve daemon's
+/// request deadlines are not that: a connection times its own wait, so
+/// deadline-bearing requests fuse.) Anything rejected here simply runs
+/// alone — fusing is an optimization, never a requirement.
 pub fn batchable(sim: &Simulation) -> bool {
     specfem_solver::lanes_supported(&sim.config, 2).is_ok() && sim.config.watchdog_timeout.is_none()
 }
@@ -65,7 +66,7 @@ mod tests {
     fn batchable_screens_unsupported_configs() {
         assert!(batchable(&batch_sim("argentina_deep").build().unwrap()));
         // Still refused: per-lane data the solver does not carry yet, and
-        // the one-deadline-per-solve policy.
+        // the one-watchdog-per-solve policy.
         for refused in [
             batch_sim("argentina_deep").attenuation(true),
             batch_sim("argentina_deep").lts_max_rate(2),

@@ -252,11 +252,6 @@ impl SimulationResult {
         self.ranks.iter().map(|r| r.comm_fraction()).sum::<f64>() / self.ranks.len() as f64
     }
 
-    /// Total communication seconds over all cores (the Figure 6 quantity).
-    pub fn total_comm_seconds(&self) -> f64 {
-        self.ranks.iter().map(|r| r.comm.wall_time_s).sum()
-    }
-
     /// Total core-seconds (the Figure 7 quantity).
     pub fn total_core_seconds(&self) -> f64 {
         self.ranks.iter().map(|r| r.elapsed_s).sum()
@@ -768,10 +763,7 @@ pub fn run_group(
                 }
             }
             Err(e) => {
-                if primary
-                    .as_ref()
-                    .is_none_or(|p| error_salience(&e) > error_salience(p))
-                {
+                if primary.as_ref().is_none_or(|p| e.class() > p.class()) {
                     primary = Some(e);
                 }
             }
@@ -807,50 +799,20 @@ fn lane_name(sim: &Simulation, index: usize) -> String {
     }
 }
 
-/// How precisely a rank's error pins down the underlying incident —
-/// higher wins when one failure fans out across the world as different
-/// errors per rank (the killed rank's `RankDead` beats its peers'
-/// secondary `Disconnected`/`Timeout` noise).
-fn error_salience(e: &solver::SolverError) -> u8 {
-    use solver::SolverError as E;
-    match e {
-        E::Health(_) => 5,
-        E::Comm(comm::CommError::RankDead { .. }) => 4,
-        E::RankPanicked { .. } => 4,
-        E::Comm(comm::CommError::Stalled { .. }) => 3,
-        E::Checkpoint(_) => 2,
-        E::Comm(_) => 1,
-        // Raised by the driver before any rank starts, never by a rank.
-        E::Refused(_) => 0,
-    }
-}
-
-/// Map a run's first typed failure onto the crash-dossier incident
-/// record: a stable class string plus whichever rank/step coordinates
-/// the error carries. The class names are part of the dossier schema
-/// (CI validates them), so keep them in sync with `DESIGN.md` §3l.
+/// Map a run's primary typed failure onto the crash-dossier incident
+/// record: the class string and whichever rank/step coordinates the error
+/// carries, both decided by [`solver::SolverError`] itself.
 fn classify_incident(
     e: &solver::SolverError,
     world: usize,
     trace_id: Option<obs::TraceId>,
 ) -> io::DossierIncident {
-    use solver::SolverError as E;
-    let (class, rank, step) = match e {
-        E::Health(r) => ("health", Some(r.rank as u64), Some(r.step as u64)),
-        E::Comm(comm::CommError::Stalled { rank, .. }) => ("stall", Some(*rank as u64), None),
-        E::Comm(comm::CommError::RankDead { rank, step }) => {
-            ("rank_dead", Some(*rank as u64), Some(*step as u64))
-        }
-        E::RankPanicked { rank, .. } => ("rank_dead", Some(*rank as u64), None),
-        E::Checkpoint(_) => ("artifact", None, None),
-        E::Comm(_) => ("comm", None, None),
-        E::Refused(_) => ("refused", None, None),
-    };
+    let (rank, step) = e.coordinates();
     io::DossierIncident {
-        class: class.to_string(),
+        class: e.class().as_str().to_string(),
         detail: e.to_string(),
-        rank,
-        step,
+        rank: rank.map(|r| r as u64),
+        step: step.map(|s| s as u64),
         trace_id: trace_id.map(|t| t.0),
         world: world as u64,
     }

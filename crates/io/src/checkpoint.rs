@@ -226,28 +226,6 @@ fn decode_records(buf: &[u8], file: &str) -> Result<StationRecords, ArtifactErro
     Ok(out)
 }
 
-fn decode_f32_chunk(
-    buf: &[u8],
-    file: &str,
-    name: &str,
-    expect: usize,
-) -> Result<Vec<f32>, ArtifactError> {
-    if buf.len() != expect * 4 {
-        return Err(ArtifactError::Format {
-            file: file.to_string(),
-            detail: format!(
-                "chunk '{name}' holds {} bytes, expected {} ({expect} f32s)",
-                buf.len(),
-                expect * 4
-            ),
-        });
-    }
-    Ok(buf
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect())
-}
-
 /// Merge one generation's per-rank states and stream them into a single
 /// container at `path`, one global field in memory at a time. Returns the
 /// container size in bytes.
@@ -409,19 +387,14 @@ pub fn load_global(path: &Path) -> Result<GlobalCheckpoint, ArtifactError> {
     let flops = m.u64()?;
     m.finished()?;
 
-    let displ = decode_f32_chunk(&r.chunk("displ")?, &file, "displ", nglob * 3)?;
-    let veloc = decode_f32_chunk(&r.chunk("veloc")?, &file, "veloc", nglob * 3)?;
-    let accel = decode_f32_chunk(&r.chunk("accel")?, &file, "accel", nglob * 3)?;
-    let chi = decode_f32_chunk(&r.chunk("chi")?, &file, "chi", nglob)?;
-    let chi_dot = decode_f32_chunk(&r.chunk("chi_dot")?, &file, "chi_dot", nglob)?;
-    let chi_ddot = decode_f32_chunk(&r.chunk("chi_ddot")?, &file, "chi_ddot", nglob)?;
+    let displ = r.chunk_le("displ", nglob * 3, f32::from_le_bytes)?;
+    let veloc = r.chunk_le("veloc", nglob * 3, f32::from_le_bytes)?;
+    let accel = r.chunk_le("accel", nglob * 3, f32::from_le_bytes)?;
+    let chi = r.chunk_le("chi", nglob, f32::from_le_bytes)?;
+    let chi_dot = r.chunk_le("chi_dot", nglob, f32::from_le_bytes)?;
+    let chi_ddot = r.chunk_le("chi_ddot", nglob, f32::from_le_bytes)?;
     let atten = if atten_per_element > 0 {
-        Some(decode_f32_chunk(
-            &r.chunk("atten")?,
-            &file,
-            "atten",
-            nspec * atten_per_element,
-        )?)
+        Some(r.chunk_le("atten", nspec * atten_per_element, f32::from_le_bytes)?)
     } else {
         None
     };
@@ -440,7 +413,7 @@ pub fn load_global(path: &Path) -> Result<GlobalCheckpoint, ArtifactError> {
     let mut snapshots = Vec::with_capacity(nsnap);
     for k in 0..nsnap {
         let name = format!("snapshot{k:03}");
-        snapshots.push(decode_f32_chunk(&r.chunk(&name)?, &file, &name, nglob * 3)?);
+        snapshots.push(r.chunk_le(&name, nglob * 3, f32::from_le_bytes)?);
     }
     specfem_obs::counter_add(
         "io.bytes_read",
@@ -626,12 +599,6 @@ impl CheckpointStore {
         }
         out.sort_unstable();
         Ok(out)
-    }
-
-    /// The newest generation on disk (no validation — see
-    /// [`CheckpointStore::restore_latest_for`] for the fallback-aware path).
-    pub fn latest_step(&self) -> Result<Option<usize>, CheckpointError> {
-        Ok(self.steps()?.into_iter().next_back())
     }
 
     /// Load one generation, memoizing the newest successful read.

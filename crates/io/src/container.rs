@@ -192,22 +192,6 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Append a length-prefixed `f32` slice.
-pub fn put_f32_slice(out: &mut Vec<u8>, v: &[f32]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-/// Append a length-prefixed `u32` slice.
-pub fn put_u32_slice(out: &mut Vec<u8>, v: &[u32]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
 /// Cursor over one chunk's payload bytes producing typed
 /// [`ArtifactError::Format`] errors that name the file and chunk.
 pub struct ByteReader<'a> {
@@ -280,32 +264,6 @@ impl<'a> ByteReader<'a> {
     pub fn f64(&mut self) -> Result<f64, ArtifactError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-
-    /// Read a length-prefixed `f32` vector.
-    pub fn f32_vec(&mut self) -> Result<Vec<f32>, ArtifactError> {
-        let n = self.u64()? as usize;
-        let raw = self.take(
-            n.checked_mul(4)
-                .ok_or_else(|| self.format_err("f32 slice length overflows"))?,
-        )?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    /// Read a length-prefixed `u32` vector.
-    pub fn u32_vec(&mut self) -> Result<Vec<u32>, ArtifactError> {
-        let n = self.u64()? as usize;
-        let raw = self.take(
-            n.checked_mul(4)
-                .ok_or_else(|| self.format_err("u32 slice length overflows"))?,
-        )?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -365,21 +323,31 @@ impl<W: Write> ContainerWriter<W> {
         Ok(())
     }
 
-    /// Append one chunk by streaming `f32`s in bounded batches — the path
-    /// the big field arrays take, so a merged checkpoint never buffers a
-    /// whole container in memory.
+    /// Append one chunk by streaming `f32`s — see [`Self::chunk_le`].
     pub fn chunk_f32s(
         &mut self,
         name: &str,
         values: impl Iterator<Item = f32>,
     ) -> Result<(), ArtifactError> {
-        const BATCH: usize = 16 * 1024;
+        self.chunk_le(name, values.map(f32::to_le_bytes))
+    }
+
+    /// Append one chunk by streaming fixed-width little-endian values
+    /// (`x.to_le_bytes()`) in bounded batches — the path the big arrays
+    /// take, so a merged checkpoint or a mesh never buffers a second copy
+    /// of itself in memory.
+    pub fn chunk_le<const N: usize>(
+        &mut self,
+        name: &str,
+        values: impl Iterator<Item = [u8; N]>,
+    ) -> Result<(), ArtifactError> {
+        const BATCH_BYTES: usize = 64 * 1024;
         let mut crc = Crc32::default();
         let mut written = 0u64;
-        let mut buf = Vec::with_capacity(BATCH * 4);
+        let mut buf = Vec::with_capacity(BATCH_BYTES + N);
         for v in values {
-            buf.extend_from_slice(&v.to_le_bytes());
-            if buf.len() >= BATCH * 4 {
+            buf.extend_from_slice(&v);
+            if buf.len() >= BATCH_BYTES {
                 crc.update(&buf);
                 self.w
                     .write_all(&buf)
@@ -649,6 +617,34 @@ impl<R: Read + Seek> ContainerReader<R> {
             file: self.file.clone(),
             detail: format!("missing chunk '{name}'"),
         })
+    }
+
+    /// Read one required chunk holding exactly `expect` little-endian
+    /// values of `N` bytes each (`from_le` is e.g. `f32::from_le_bytes`) —
+    /// the one typed-array decoder. The count comes from the artifact's
+    /// own metadata, so a CRC-valid chunk of any other length is a typed
+    /// [`ArtifactError::Format`], never an array that disagrees with the
+    /// sizes the rest of the artifact claims.
+    pub fn chunk_le<T, const N: usize>(
+        &mut self,
+        name: &str,
+        expect: usize,
+        from_le: fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, ArtifactError> {
+        let buf = self.chunk(name)?;
+        if expect.checked_mul(N) != Some(buf.len()) {
+            return Err(ArtifactError::Format {
+                file: self.file.clone(),
+                detail: format!(
+                    "chunk '{name}' holds {} bytes, expected {expect} values of {N} bytes",
+                    buf.len()
+                ),
+            });
+        }
+        Ok(buf
+            .chunks_exact(N)
+            .map(|c| from_le(c.try_into().expect("chunks_exact yields N bytes")))
+            .collect())
     }
 }
 

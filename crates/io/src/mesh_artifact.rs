@@ -141,48 +141,6 @@ fn decode_params(r: &mut ByteReader<'_>) -> Result<MeshParams, ArtifactError> {
     })
 }
 
-fn raw_f32s(v: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 4);
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
-}
-
-fn raw_u32s(v: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 4);
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
-}
-
-fn from_raw_f32s(buf: &[u8], file: &str, name: &str) -> Result<Vec<f32>, ArtifactError> {
-    if !buf.len().is_multiple_of(4) {
-        return Err(ArtifactError::Format {
-            file: file.to_string(),
-            detail: format!("chunk '{name}' length {} is not f32-aligned", buf.len()),
-        });
-    }
-    Ok(buf
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect())
-}
-
-fn from_raw_u32s(buf: &[u8], file: &str, name: &str) -> Result<Vec<u32>, ArtifactError> {
-    if !buf.len().is_multiple_of(4) {
-        return Err(ArtifactError::Format {
-            file: file.to_string(),
-            detail: format!("chunk '{name}' length {} is not u32-aligned", buf.len()),
-        });
-    }
-    Ok(buf
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect())
-}
-
 /// Emit every chunk of a mesh payload through `w`.
 fn write_chunks<W: std::io::Write>(
     w: &mut ContainerWriter<W>,
@@ -199,18 +157,12 @@ fn write_chunks<W: std::io::Write>(
     encode_params(&mut params, &mesh.params);
     w.chunk("params", &params)?;
 
-    w.chunk("ibool", &raw_u32s(&mesh.ibool))?;
-
-    let mut coords = Vec::with_capacity(mesh.coords.len() * 24);
-    for p in &mesh.coords {
-        for &x in p {
-            coords.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-    w.chunk("coords", &coords)?;
-
-    let region: Vec<u8> = mesh.region.iter().map(|&r| region_tag(r)).collect();
-    w.chunk("region", &region)?;
+    w.chunk_le("ibool", mesh.ibool.iter().map(|x| x.to_le_bytes()))?;
+    w.chunk_le(
+        "coords",
+        mesh.coords.iter().flatten().map(|x| x.to_le_bytes()),
+    )?;
+    w.chunk_le("region", mesh.region.iter().map(|&r| [region_tag(r)]))?;
 
     let mut home = Vec::with_capacity(mesh.home.len() * 8);
     for &h in &mesh.home {
@@ -233,10 +185,10 @@ fn write_chunks<W: std::io::Write>(
     }
     w.chunk("home", &home)?;
 
-    w.chunk("rho", &raw_f32s(&mesh.rho))?;
-    w.chunk("kappa", &raw_f32s(&mesh.kappa))?;
-    w.chunk("mu", &raw_f32s(&mesh.mu))?;
-    w.chunk("qmu", &raw_f32s(&mesh.qmu))?;
+    w.chunk_f32s("rho", mesh.rho.iter().copied())?;
+    w.chunk_f32s("kappa", mesh.kappa.iter().copied())?;
+    w.chunk_f32s("mu", mesh.mu.iter().copied())?;
+    w.chunk_f32s("qmu", mesh.qmu.iter().copied())?;
 
     let mut layers = Vec::new();
     put_u64(&mut layers, mesh.layer_plan.shells.len() as u64);
@@ -318,61 +270,51 @@ fn read_mesh<R: std::io::Read + std::io::Seek>(
     let params = decode_params(&mut pr)?;
     pr.finished()?;
 
-    let ibool = from_raw_u32s(&r.chunk("ibool")?, &file, "ibool")?;
+    // Every array is checked against the sizes `meta` and `params` claim:
+    // a CRC-valid artifact with one array of another length must not load
+    // into a mesh that panics on a later index.
+    let per_element = params.degree.saturating_add(1).saturating_pow(3);
+    let nodes = nspec.saturating_mul(per_element);
+    let ibool = r.chunk_le("ibool", nodes, u32::from_le_bytes)?;
+    let coords = r.chunk_le("coords", nglob, |c: [u8; 24]| {
+        [0, 8, 16].map(|at| f64::from_le_bytes(c[at..at + 8].try_into().expect("8 of 24 bytes")))
+    })?;
 
-    let coords_buf = r.chunk("coords")?;
-    if !coords_buf.len().is_multiple_of(24) {
-        return Err(ArtifactError::Format {
-            file,
-            detail: format!(
-                "chunk 'coords' length {} is not [f64; 3]-aligned",
-                coords_buf.len()
-            ),
-        });
-    }
-    let coords: Vec<[f64; 3]> = coords_buf
-        .chunks_exact(24)
-        .map(|c| {
-            [
-                f64::from_le_bytes(c[0..8].try_into().unwrap()),
-                f64::from_le_bytes(c[8..16].try_into().unwrap()),
-                f64::from_le_bytes(c[16..24].try_into().unwrap()),
-            ]
-        })
-        .collect();
-
-    let region_buf = r.chunk("region")?;
+    let region_buf = r.chunk_le("region", nspec, u8::from_le_bytes)?;
     let rr = ByteReader::new(&region_buf, &file, "region");
-    let mut region = Vec::with_capacity(region_buf.len());
-    for &t in &region_buf {
-        region.push(region_from_tag(&rr, t)?);
-    }
+    let region = region_buf
+        .iter()
+        .map(|&t| region_from_tag(&rr, t))
+        .collect::<Result<Vec<_>, _>>()?;
 
-    let home_buf = r.chunk("home")?;
-    let mut hr = ByteReader::new(&home_buf, &file, "home");
-    let mut home = Vec::with_capacity(home_buf.len() / 8);
-    while hr.finished().is_err() {
-        let tag = hr.u8()?;
-        let b = hr.u8()?;
-        let raw = hr.take(6)?;
-        let a = u16::from_le_bytes(raw[0..2].try_into().unwrap());
-        let c = u16::from_le_bytes(raw[2..4].try_into().unwrap());
-        let d = u16::from_le_bytes(raw[4..6].try_into().unwrap());
-        home.push(match tag {
-            0 => ElementHome::Shell {
-                chunk: b,
-                ix: a,
-                iy: c,
-            },
-            1 => ElementHome::Cube { i: a, j: c, k: d },
-            t => return Err(hr.format_err(format!("bad element-home tag {t}"))),
-        });
-    }
+    let home = r
+        .chunk_le("home", nspec, |h: [u8; 8]| h)?
+        .into_iter()
+        .map(|h| {
+            let word = |at: usize| u16::from_le_bytes([h[at], h[at + 1]]);
+            match h[0] {
+                0 => Ok(ElementHome::Shell {
+                    chunk: h[1],
+                    ix: word(2),
+                    iy: word(4),
+                }),
+                1 => Ok(ElementHome::Cube {
+                    i: word(2),
+                    j: word(4),
+                    k: word(6),
+                }),
+                t => Err(ArtifactError::Format {
+                    file: file.clone(),
+                    detail: format!("chunk 'home': bad element-home tag {t}"),
+                }),
+            }
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
-    let rho = from_raw_f32s(&r.chunk("rho")?, &file, "rho")?;
-    let kappa = from_raw_f32s(&r.chunk("kappa")?, &file, "kappa")?;
-    let mu = from_raw_f32s(&r.chunk("mu")?, &file, "mu")?;
-    let qmu = from_raw_f32s(&r.chunk("qmu")?, &file, "qmu")?;
+    let rho = r.chunk_le("rho", nodes, f32::from_le_bytes)?;
+    let kappa = r.chunk_le("kappa", nodes, f32::from_le_bytes)?;
+    let mu = r.chunk_le("mu", nodes, f32::from_le_bytes)?;
+    let qmu = r.chunk_le("qmu", nodes, f32::from_le_bytes)?;
 
     let layers_buf = r.chunk("layers")?;
     let mut lr = ByteReader::new(&layers_buf, &file, "layers");
@@ -629,6 +571,50 @@ mod tests {
         assert!(matches!(err, ArtifactError::KeyMismatch { .. }), "{err:?}");
         assert!(err.to_string().contains("key mismatch"), "{err}");
         let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// `bytes` with the last `cut` bytes of chunk `name` dropped and every
+    /// checksum recomputed — damage no CRC can see.
+    fn reencode_with_short_chunk(bytes: &[u8], name: &str, cut: usize) -> Vec<u8> {
+        let mut r = ContainerReader::new(Cursor::new(bytes), "<memory>").unwrap();
+        let out = Cursor::new(Vec::new());
+        let mut w = ContainerWriter::new(out, "<memory>", MESH_KIND, MESH_FORMAT_VERSION).unwrap();
+        for chunk in r.chunk_names() {
+            let payload = r.chunk(&chunk).unwrap();
+            let keep = payload.len() - if chunk == name { cut } else { 0 };
+            w.chunk(&chunk, &payload[..keep]).unwrap();
+        }
+        w.finish().unwrap().0.into_inner()
+    }
+
+    #[test]
+    fn array_shorter_than_meta_claims_is_a_typed_error() {
+        // A CRC-valid artifact whose array disagrees with `nspec`/`nglob`
+        // used to load into a mesh that panicked on a later index.
+        let mesh = small_mesh();
+        let valid = encode_mesh(&mesh, 7);
+        assert!(decode_mesh(&valid, Some(7)).is_ok());
+        for (name, element_bytes) in [
+            ("rho", 4),
+            ("qmu", 4),
+            ("ibool", 4),
+            ("coords", 24),
+            ("region", 1),
+            ("home", 8),
+            // Still aligned to the value width, but not to a whole point.
+            ("coords", 8),
+        ] {
+            let short = reencode_with_short_chunk(&valid, name, element_bytes);
+            match decode_mesh(&short, Some(7)) {
+                Err(ArtifactError::Format { detail, .. }) => {
+                    assert!(
+                        detail.contains(&format!("chunk '{name}' holds")),
+                        "{detail}"
+                    )
+                }
+                other => panic!("short '{name}': expected a format error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -149,27 +149,10 @@ fn read_result<R: std::io::Read + std::io::Seek>(
     }
     sr.finished()?;
 
-    let data_buf = r.chunk("data")?;
-    if !data_buf.len().is_multiple_of(4) {
-        return Err(ArtifactError::Format {
-            file,
-            detail: format!("chunk 'data' length {} is not f32-aligned", data_buf.len()),
-        });
-    }
-    let flat: Vec<f32> = data_buf
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    let total: usize = headers.iter().map(|(_, _, n)| n * 3).sum();
-    if flat.len() != total {
-        return Err(ArtifactError::Format {
-            file,
-            detail: format!(
-                "chunk 'data' holds {} f32s, headers claim {total}",
-                flat.len()
-            ),
-        });
-    }
+    let total = headers.iter().fold(0usize, |sum, (_, _, n)| {
+        sum.saturating_add(n.saturating_mul(3))
+    });
+    let flat = r.chunk_le("data", total, f32::from_le_bytes)?;
     let mut seismograms = Vec::with_capacity(nrec);
     let mut off = 0usize;
     for (station, dt, nsamp) in headers {

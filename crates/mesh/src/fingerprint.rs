@@ -107,11 +107,6 @@ impl MeshKey {
     pub fn hex(&self) -> String {
         format!("{:016x}", self.fingerprint())
     }
-
-    /// Lower-case hex form of the geometry fingerprint.
-    pub fn geometry_hex(&self) -> String {
-        format!("{:016x}", self.geometry_fingerprint())
-    }
 }
 
 /// Content hashes of a built mesh: one digest per constituent array.

@@ -102,15 +102,6 @@ impl LayerPlan {
     pub fn total_layers(&self) -> usize {
         self.shells.iter().map(|s| s.n_layers).sum()
     }
-
-    /// The shells, restricted to one region.
-    pub fn region_layers(&self, region: MeshRegion) -> usize {
-        self.shells
-            .iter()
-            .filter(|s| s.region == region)
-            .map(|s| s.n_layers)
-            .sum()
-    }
 }
 
 fn classify_shell(model: &dyn EarthModel, r_in: f64, r_out: f64) -> MeshRegion {

@@ -133,33 +133,4 @@ impl LocalMesh {
         }
         rep
     }
-
-    /// Element adjacency (elements sharing at least one local point) —
-    /// input to the Cuthill-McKee orderings.
-    pub fn element_adjacency(&self) -> Vec<Vec<u32>> {
-        let n3 = self.points_per_element();
-        let mut point_elems: Vec<Vec<u32>> = vec![Vec::new(); self.nglob];
-        for e in 0..self.nspec {
-            for &p in &self.ibool[e * n3..(e + 1) * n3] {
-                let v = &mut point_elems[p as usize];
-                if v.last() != Some(&(e as u32)) {
-                    v.push(e as u32);
-                }
-            }
-        }
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); self.nspec];
-        for elems in &point_elems {
-            for (ai, &a) in elems.iter().enumerate() {
-                for &b in &elems[ai + 1..] {
-                    adj[a as usize].push(b);
-                    adj[b as usize].push(a);
-                }
-            }
-        }
-        for v in &mut adj {
-            v.sort_unstable();
-            v.dedup();
-        }
-        adj
-    }
 }

@@ -12,60 +12,12 @@
 use crate::json_escape;
 use crate::span::RankTrace;
 
-/// Serialize rank traces as a Perfetto-loadable JSON string.
-///
-/// Traces are emitted in ascending rank order regardless of input order,
-/// so the output is deterministic for a given set of traces.
+/// Serialize rank traces as a Perfetto-loadable JSON string: each trace
+/// is the [`Track`] `rank N` with `tid` = rank, in ascending rank order
+/// regardless of input order.
 pub fn perfetto_json(traces: &[RankTrace]) -> String {
-    let mut sorted: Vec<&RankTrace> = traces.iter().collect();
-    sorted.sort_by_key(|t| t.rank);
-
-    let total_events: usize = sorted.iter().map(|t| t.events.len()).sum();
-    let mut out = String::with_capacity(128 + 96 * (total_events + sorted.len()));
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, item: &str| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(item);
-    };
-    if !sorted.is_empty() {
-        // Label the shared pid so the Perfetto UI shows a named process
-        // group instead of a bare "Process 1".
-        push(
-            &mut out,
-            "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"specfem solver ranks\"}}",
-        );
-    }
-    for t in &sorted {
-        push(
-            &mut out,
-            &format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"rank {}\"}}}}",
-                t.rank, t.rank
-            ),
-        );
-        for e in &t.events {
-            push(
-                &mut out,
-                &format!(
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"name\":\"{}\",\
-                     \"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"depth\":{}}}}}",
-                    t.rank,
-                    json_escape(e.name),
-                    e.start_ns as f64 / 1e3,
-                    e.dur_ns as f64 / 1e3,
-                    e.depth
-                ),
-            );
-        }
-    }
-    out.push_str("]}");
-    out
+    let tracks: Vec<Track> = traces.iter().map(Track::from).collect();
+    render("specfem solver ranks", &tracks)
 }
 
 /// One event on a named [`Track`] — like [`crate::SpanEvent`] but with an
@@ -95,11 +47,37 @@ pub struct Track {
     pub events: Vec<TrackEvent>,
 }
 
+impl From<&RankTrace> for Track {
+    /// The row `rank N` with `tid` = rank, carrying the rank's spans.
+    fn from(trace: &RankTrace) -> Self {
+        Self {
+            name: format!("rank {}", trace.rank),
+            tid: trace.rank,
+            events: trace
+                .events
+                .iter()
+                .map(|e| TrackEvent {
+                    name: e.name.to_string(),
+                    start_ns: e.start_ns,
+                    dur_ns: e.dur_ns,
+                    depth: e.depth,
+                })
+                .collect(),
+        }
+    }
+}
+
 /// Serialize named tracks as a Perfetto-loadable JSON string.
 ///
 /// Tracks are emitted in ascending `tid` order regardless of input
 /// order, so the output is deterministic for a given set of tracks.
 pub fn perfetto_tracks(tracks: &[Track]) -> String {
+    render("specfem campaign", tracks)
+}
+
+/// The one emitter: `process` labels the shared pid so the Perfetto UI
+/// shows a named process group instead of a bare "Process 1".
+fn render(process: &str, tracks: &[Track]) -> String {
     let mut sorted: Vec<&Track> = tracks.iter().collect();
     sorted.sort_by_key(|t| t.tid);
 
@@ -117,8 +95,10 @@ pub fn perfetto_tracks(tracks: &[Track]) -> String {
     if !sorted.is_empty() {
         push(
             &mut out,
-            "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"specfem campaign\"}}",
+            &format!(
+                "{{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\
+                 \"args\":{{\"name\":\"{process}\"}}}}"
+            ),
         );
     }
     for t in &sorted {
@@ -184,6 +164,23 @@ mod tests {
         assert!(json.contains("\"ts\":1.500"));
         assert!(json.contains("\"dur\":2.500"));
         assert!(json.ends_with("]}"));
+        // Byte for byte what the dedicated rank-trace emitter wrote before
+        // rank traces became tracks.
+        assert_eq!(
+            perfetto_json(&[
+                trace(1, vec![ev("a\"b", 1, 2, 0)]),
+                trace(0, vec![ev("halo", 1500, 2500, 1), ev("x", 7, 9, 2)]),
+            ]),
+            concat!(
+                r#"{"displayTimeUnit":"ns","traceEvents":[{"ph":"M","pid":1,"name":"process_name","#,
+                r#""args":{"name":"specfem solver ranks"}},{"ph":"M","pid":1,"tid":0,"name":"thread_name","#,
+                r#""args":{"name":"rank 0"}},{"ph":"X","pid":1,"tid":0,"name":"halo","ts":1.500,"dur":2.500,"#,
+                r#""args":{"depth":1}},{"ph":"X","pid":1,"tid":0,"name":"x","ts":0.007,"dur":0.009,"#,
+                r#""args":{"depth":2}},{"ph":"M","pid":1,"tid":1,"name":"thread_name","#,
+                r#""args":{"name":"rank 1"}},{"ph":"X","pid":1,"tid":1,"name":"a\"b","ts":0.001,"dur":0.002,"#,
+                r#""args":{"depth":0}}]}"#
+            )
+        );
     }
 
     #[test]

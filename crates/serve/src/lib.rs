@@ -22,16 +22,22 @@
 //!   fuse into the lanes of one solve via the campaign's batch packer —
 //!   one mesh build and one time loop answer K requests, each lane
 //!   bit-identical to its single-event answer and traced like one (the
-//!   daemon's tracing rides along; only a deadline keeps a request out
-//!   of a fused solve);
+//!   daemon's tracing and request deadlines ride along);
 //! * results land in a two-tier [`ResultCache`] (LRU memory + SFCN disk
 //!   containers), so repeats are O(1) and survive daemon restarts;
-//! * per-request deadlines bound the wait: the connection gets a typed
-//!   `504 {"error":{"code":"deadline"}}` instead of hanging, and cold
-//!   solves carry the deadline into the solver's straggler watchdog;
+//! * per-request deadlines bound the wait: the connection times its own
+//!   wait and gets a typed `504 {"error":{"code":"deadline"}}` instead of
+//!   hanging, while the solve runs on and is cached for the next asker;
 //! * `/health` and `/metrics` expose liveness, cache counters, and the
 //!   process-global `specfem-obs` registry; completed solves are
 //!   batched into run-ledger records.
+//!
+//! Threads: the accept loop, one short-lived thread per connection, and
+//! the campaign's workers — nothing in between. A connection thread hands
+//! its [`Job`] straight to the [`Campaign`] the daemon owns, and the
+//! worker that finishes it calls the daemon back with the
+//! [`JobOutcome`] by value: `GET /jobs` row, stitched timeline, ledger
+//! accounting, cache put, waiters woken. The daemon keeps no outcome.
 //!
 //! The protocol walkthrough lives in the workspace README ("Serving");
 //! the load-test harness is `specfem-bench`'s `serve_load` binary
@@ -52,7 +58,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use specfem_campaign::{Campaign, CampaignConfig, Job};
+use specfem_campaign::{Campaign, CampaignConfig, Job, JobOutcome};
 use specfem_core::obs::ledger::{self, LedgerMachine, LedgerRecord, LEDGER_SCHEMA_VERSION};
 use specfem_core::Simulation;
 use specfem_io::{CachedResult, ResultCache, ResultCacheOutcome, ResultKey};
@@ -88,9 +94,6 @@ pub struct ServeConfig {
     /// every solve single-lane. Requests for the same mesh and
     /// timeloop shape but different sources/stations fuse into one
     /// K-event solve (bit-identical per lane to the serial answer).
-    /// A request carrying a deadline runs single-lane regardless: its
-    /// deadline becomes the solver watchdog, which is per-solve, and a
-    /// fused solve must not let one lane's deadline kill its siblings.
     pub batch_max_lanes: usize,
     /// How long a worker holds an underfull batch open waiting for
     /// fusable queue mates (`BATCH_WINDOW_MS`); 0 = only fuse what is
@@ -189,6 +192,10 @@ fn parse_bytes(key: &str, v: &str) -> Result<usize, String> {
 /// What a waiter on an in-flight solve receives.
 type WaitReply = Result<Arc<CachedResult>, String>;
 
+/// One in-flight solve: the key its answer will be cached under, and
+/// the connections waiting for it.
+type InFlight = (ResultKey, Vec<Sender<WaitReply>>);
+
 /// Outcome of admission: a cache hit that raced in (`Ok`), or the
 /// channel this request must wait on (`Err`).
 type Admission = Result<(Arc<CachedResult>, ResultCacheOutcome), Receiver<WaitReply>>;
@@ -225,11 +232,14 @@ struct JobSummary {
 }
 
 /// Shared daemon state: the cache, the single-flight table, and the
-/// pipe into the scheduler thread.
+/// worker pool.
 struct Engine {
     cache: ResultCache,
-    inflight: Mutex<HashMap<u64, Vec<Sender<WaitReply>>>>,
-    jobs_tx: Mutex<Option<Sender<Job>>>,
+    /// Single-flight table, by the name of each submitted, unfinished job.
+    inflight: Mutex<HashMap<String, InFlight>>,
+    /// The worker pool; `None` once shutdown has run it down. Never
+    /// locked while holding `inflight`, which the workers' sink takes.
+    campaign: Mutex<Option<Campaign>>,
     default_deadline: Option<Duration>,
     shutdown: AtomicBool,
     started: Instant,
@@ -246,28 +256,22 @@ struct Engine {
 }
 
 impl Engine {
-    /// Answer every waiter registered for `key` with `reply`.
-    fn notify_waiters(&self, key: ResultKey, reply: &WaitReply) {
-        let waiters = self
-            .inflight
-            .lock()
-            .unwrap()
-            .remove(&key.0)
-            .unwrap_or_default();
-        for tx in waiters {
-            // A waiter that already timed out dropped its receiver; that
-            // is its business, not an error here.
-            let _ = tx.send(reply.clone());
-        }
-    }
-
-    /// Completion hook, called from campaign worker threads: publish the
-    /// outcome to the cache and wake the connections waiting on it.
-    fn complete(&self, key: ResultKey, result: &Result<CachedResult, String>) {
-        let reply = match result {
-            Ok(cached) => {
+    /// The campaign's outcome sink, called on the worker thread that
+    /// finished the job: remember it for `GET /jobs` and `/trace/<id>`,
+    /// publish the answer to the cache, wake the connections waiting on
+    /// it, and account it in the ledger. The outcome is consumed here.
+    fn complete(&self, outcome: JobOutcome) {
+        self.record_job(&outcome);
+        let failed = outcome.result.is_err();
+        let key = self.inflight.lock().unwrap()[&outcome.name].0;
+        let reply = match outcome.result {
+            Ok(res) => {
                 self.solves.fetch_add(1, Ordering::Relaxed);
                 global_counter_add("serve.solves", 1);
+                let cached = CachedResult {
+                    seismograms: res.seismograms,
+                    element_steps: outcome.element_steps,
+                };
                 match self.cache.put(key, cached.clone()) {
                     Ok(arc) => Ok(arc),
                     // A full disk must not fail the request: serve the
@@ -275,27 +279,40 @@ impl Engine {
                     Err(e) => {
                         global_counter_add("serve.cache_put_errors", 1);
                         eprintln!("serve: result cache put failed for {}: {e}", key.hex());
-                        Ok(Arc::new(cached.clone()))
+                        Ok(Arc::new(cached))
                     }
                 }
             }
             Err(msg) => {
                 self.solve_errors.fetch_add(1, Ordering::Relaxed);
                 global_counter_add("serve.solve_errors", 1);
-                Err(msg.clone())
+                Err(msg)
             }
         };
-        self.notify_waiters(key, &reply);
+        // The put came first: a request that misses the cache from here
+        // on finds either the value or — under this lock — the entry.
+        let (_, waiters) = self
+            .inflight
+            .lock()
+            .unwrap()
+            .remove(&outcome.name)
+            .expect("entry outlives its job");
+        for tx in waiters {
+            // A waiter that already timed out dropped its receiver; that
+            // is its business, not an error here.
+            let _ = tx.send(reply.clone());
+        }
+        self.record_outcome(outcome.element_steps, failed);
     }
 
-    /// Fold one drained job outcome into the current ledger batch,
-    /// flushing a record when the batch is full.
-    fn record_outcome(&self, outcome: &specfem_campaign::JobOutcome) {
+    /// Fold one finished job into the current ledger batch, flushing a
+    /// record when the batch is full.
+    fn record_outcome(&self, element_steps: u64, failed: bool) {
         let Some(sink) = &self.ledger else { return };
         let mut st = sink.state.lock().unwrap();
         st.solves += 1;
-        st.element_steps += outcome.element_steps;
-        if outcome.result.is_err() {
+        st.element_steps += element_steps;
+        if failed {
             st.failures += 1;
         }
         if st.solves >= sink.batch as u64 {
@@ -353,9 +370,8 @@ impl Engine {
 
     /// Remember a finished solve for `GET /jobs`, and stitch its
     /// cross-layer timeline into the trace store when it ran under a
-    /// correlation id. Runs on campaign worker threads via the
-    /// completion hook.
-    fn record_job(&self, outcome: &specfem_campaign::JobOutcome) {
+    /// correlation id.
+    fn record_job(&self, outcome: &JobOutcome) {
         let summary = JobSummary {
             name: outcome.name.clone(),
             trace_id: outcome.telemetry.trace_id.clone(),
@@ -440,9 +456,9 @@ impl Engine {
         key: ResultKey,
         mut sim: Simulation,
         priority: i32,
-        deadline: Option<Duration>,
         trace: TraceId,
     ) -> Result<Admission, ServeError> {
+        let name = format!("req_{}", key.hex());
         let mut map = self.inflight.lock().unwrap();
         // Re-check under the lock: `complete` puts into the cache
         // *before* taking the waiter list, so either we see the value
@@ -451,33 +467,28 @@ impl Engine {
         if let Some(value) = hit {
             return Ok(Ok((value, outcome)));
         }
-        let entry = map.entry(key.0).or_default();
-        let first = entry.is_empty();
+        let (_, waiters) = map.entry(name.clone()).or_insert((key, Vec::new()));
+        let first = waiters.is_empty();
         let (tx, rx) = unbounded();
-        entry.push(tx);
+        waiters.push(tx);
         drop(map);
         if first {
-            // Wire the request deadline into the solver's straggler
-            // watchdog; the result key deliberately ignores it. Traced
-            // rank spans are what `GET /trace/<id>` stitches, so solves
-            // admitted by the daemon always record them (the key ignores
-            // that knob too — hits and misses answer identically).
-            sim.config.watchdog_timeout = deadline;
+            // Traced rank spans are what `GET /trace/<id>` stitches, so
+            // solves admitted by the daemon always record them (the result
+            // key ignores that knob — hits and misses answer identically).
             sim.config.trace = true;
-            let job = Job::new(format!("req_{}", key.hex()), sim)
-                .priority(priority)
-                .trace(trace);
-            let sent = match &*self.jobs_tx.lock().unwrap() {
-                Some(tx) => tx.send(job).is_ok(),
-                None => false,
-            };
-            if !sent {
-                self.inflight.lock().unwrap().remove(&key.0);
-                return Err(ServeError {
-                    status: 500,
-                    code: "shutting_down",
-                    message: "daemon is shutting down".to_string(),
-                });
+            match &mut *self.campaign.lock().unwrap() {
+                Some(campaign) => {
+                    campaign.submit(Job::new(name, sim).priority(priority).trace(trace))
+                }
+                None => {
+                    self.inflight.lock().unwrap().remove(&name);
+                    return Err(ServeError {
+                        status: 500,
+                        code: "shutting_down",
+                        message: "daemon is shutting down".to_string(),
+                    });
+                }
             }
         }
         Ok(Err(rx))
@@ -516,7 +527,7 @@ impl Engine {
             .deadline_ms
             .map(Duration::from_millis)
             .or(self.default_deadline);
-        let rx = match self.wait_or_submit(key, sim, req.priority, deadline, trace)? {
+        let rx = match self.wait_or_submit(key, sim, req.priority, trace)? {
             Ok((value, outcome)) => {
                 global_counter_add(outcome_counter(outcome), 1);
                 return Ok(result_json(key, trace, outcome.as_str(), &value));
@@ -547,23 +558,11 @@ impl Engine {
                     &value,
                 ))
             }
-            Err(msg) => {
-                // A watchdog trip is the deadline surfacing from inside
-                // the solver — report it as the same typed timeout.
-                if msg.contains("watchdog") || msg.contains("Stalled") {
-                    Err(ServeError {
-                        status: 504,
-                        code: "deadline",
-                        message: msg,
-                    })
-                } else {
-                    Err(ServeError {
-                        status: 500,
-                        code: "solver",
-                        message: msg,
-                    })
-                }
-            }
+            Err(message) => Err(ServeError {
+                status: 500,
+                code: "solver",
+                message,
+            }),
         }
     }
 
@@ -595,7 +594,7 @@ impl Engine {
 /// to completion), plus one track per solver rank carrying its recorded
 /// spans. Every layer shares the process trace epoch, so the rows line
 /// up on one wall-clock axis.
-fn stitch_timeline(o: &specfem_campaign::JobOutcome, trace_id: &str) -> String {
+fn stitch_timeline(o: &JobOutcome, trace_id: &str) -> String {
     let mut tracks = vec![Track {
         name: "request".to_string(),
         tid: 0,
@@ -619,20 +618,10 @@ fn stitch_timeline(o: &specfem_campaign::JobOutcome, trace_id: &str) -> String {
     if let Ok(res) = &o.result {
         for r in &res.ranks {
             if let Some(profile) = &r.profile {
+                // Row 0 is the request; the ranks follow it.
                 tracks.push(Track {
-                    name: format!("rank {}", r.rank),
                     tid: 1 + r.rank,
-                    events: profile
-                        .trace
-                        .events
-                        .iter()
-                        .map(|e| TrackEvent {
-                            name: e.name.to_string(),
-                            start_ns: e.start_ns,
-                            dur_ns: e.dur_ns,
-                            depth: e.depth,
-                        })
-                        .collect(),
+                    ..Track::from(&profile.trace)
                 });
             }
         }
@@ -704,7 +693,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     engine: Arc<Engine>,
     accept: Option<JoinHandle<()>>,
-    scheduler: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -714,7 +702,7 @@ impl ServerHandle {
     }
 
     /// Block until the daemon stops (a `POST /shutdown` arrives), then
-    /// finish cleanly: drain the scheduler and flush the ledger.
+    /// finish cleanly: run the worker pool down and flush the ledger.
     pub fn join(mut self) {
         self.finish();
     }
@@ -727,14 +715,16 @@ impl ServerHandle {
     }
 
     fn finish(&mut self) {
+        // The accept loop joins every connection, so all waiters have
+        // been answered once it returns.
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        // Closing the job channel lets the scheduler run the campaign
-        // down and exit.
-        *self.engine.jobs_tx.lock().unwrap() = None;
-        if let Some(h) = self.scheduler.take() {
-            let _ = h.join();
+        // Wait out whatever is still solving (a request that gave up at
+        // its deadline leaves its job running) and stop the workers.
+        let campaign = self.engine.campaign.lock().unwrap().take();
+        if let Some(campaign) = campaign {
+            campaign.finish();
         }
         self.engine.flush_ledger();
     }
@@ -777,7 +767,8 @@ fn pin_mmap_threshold() -> bool {
     false
 }
 
-/// Bind, spawn the scheduler and accept threads, and return the handle.
+/// Bind, create the worker pool, spawn the accept thread, and return the
+/// handle.
 pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     pin_mmap_threshold();
     let listener = TcpListener::bind(&cfg.addr)?;
@@ -786,11 +777,10 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
 
     let cache = ResultCache::new(cfg.data_dir.join("results"), cfg.result_cache_bytes)
         .map_err(|e| std::io::Error::other(e.to_string()))?;
-    let (jobs_tx, jobs_rx) = unbounded::<Job>();
     let engine = Arc::new(Engine {
         cache,
         inflight: Mutex::new(HashMap::new()),
-        jobs_tx: Mutex::new(Some(jobs_tx)),
+        campaign: Mutex::new(None),
         default_deadline: cfg.request_deadline,
         shutdown: AtomicBool::new(false),
         started: Instant::now(),
@@ -812,19 +802,25 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         traces: Mutex::new(VecDeque::new()),
     });
 
-    let scheduler = {
-        let engine = Arc::clone(&engine);
-        let campaign_cfg = CampaignConfig {
-            workers: cfg.workers,
-            queue_capacity: (cfg.workers.max(1)) * 4,
-            ..CampaignConfig::default()
-        }
-        .batching(
-            cfg.batch_max_lanes,
-            Duration::from_millis(cfg.batch_window_ms),
-        );
-        std::thread::spawn(move || scheduler_loop(engine, jobs_rx, campaign_cfg))
-    };
+    // With `batch_max_lanes > 1`, compatible concurrent requests (same
+    // mesh + timeloop shape, different sources/stations) fuse into one
+    // K-event solve inside the campaign's worker pool. The queue is
+    // unbounded, so `submit` never blocks a connection ahead of its
+    // deadline. The sink holds the engine and the engine the campaign;
+    // `ServerHandle::finish` takes the campaign out, which breaks the
+    // cycle.
+    let campaign_cfg = CampaignConfig {
+        workers: cfg.workers,
+        ..CampaignConfig::default()
+    }
+    .batching(
+        cfg.batch_max_lanes,
+        Duration::from_millis(cfg.batch_window_ms),
+    );
+    let sink = Arc::clone(&engine);
+    *engine.campaign.lock().unwrap() = Some(Campaign::streaming(campaign_cfg, move |outcome| {
+        sink.complete(outcome)
+    }));
     let accept = {
         let engine = Arc::clone(&engine);
         std::thread::spawn(move || accept_loop(listener, engine))
@@ -833,51 +829,7 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         addr,
         engine,
         accept: Some(accept),
-        scheduler: Some(scheduler),
     })
-}
-
-/// Own the campaign: admit jobs off the channel, wake waiters via the
-/// completion callback, and fold drained outcomes into ledger batches.
-/// With `batch_max_lanes > 1` in the config, compatible concurrent
-/// requests (same mesh + timeloop shape, different sources/stations)
-/// fuse into one K-event solve inside the campaign's worker pool.
-fn scheduler_loop(engine: Arc<Engine>, jobs_rx: Receiver<Job>, cfg: CampaignConfig) {
-    let mut campaign = Campaign::new(cfg);
-    {
-        let engine = Arc::clone(&engine);
-        campaign.on_completion(move |outcome| {
-            engine.record_job(outcome);
-            let Some(hex) = outcome.name.strip_prefix("req_") else {
-                return;
-            };
-            let Ok(bits) = u64::from_str_radix(hex, 16) else {
-                return;
-            };
-            let result = outcome
-                .result
-                .as_ref()
-                .map_err(Clone::clone)
-                .map(|r| CachedResult {
-                    seismograms: r.seismograms.clone(),
-                    element_steps: outcome.element_steps,
-                });
-            engine.complete(ResultKey(bits), &result);
-        });
-    }
-    loop {
-        match jobs_rx.recv_timeout(Duration::from_millis(200)) {
-            Ok(job) => campaign.submit(job),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-        for outcome in campaign.drain() {
-            engine.record_outcome(&outcome);
-        }
-    }
-    for outcome in campaign.finish().outcomes {
-        engine.record_outcome(&outcome);
-    }
 }
 
 /// Accept connections until shutdown; one thread per connection.
@@ -1018,8 +970,62 @@ pub mod client {
 
 #[cfg(all(test, target_os = "linux", target_env = "gnu"))]
 mod tests {
-    use super::{pin_mmap_threshold, ServeConfig};
+    use super::{client, pin_mmap_threshold, serve, ServeConfig};
+    use specfem_core::Simulation;
+    use specfem_obs::TraceId;
+    use std::sync::atomic::Ordering;
     use std::time::Duration;
+
+    #[test]
+    fn daemon_keeps_no_outcome_of_the_solves_it_answered() {
+        let data_dir = std::env::temp_dir().join("specfem_serve_no_outcomes");
+        let _ = std::fs::remove_dir_all(&data_dir);
+        let cfg = ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServeConfig::from_parfile("", data_dir).unwrap()
+        };
+        let handle = serve(cfg).expect("daemon starts");
+        for event in ["argentina_deep", "sumatra_thrust"] {
+            let body =
+                format!(r#"{{"resolution": 4, "steps": 5, "event": "{event}", "stations": 2}}"#);
+            let (status, reply) = client::post(handle.addr(), "/simulate", &body).unwrap();
+            assert_eq!(status, 200, "{reply}");
+        }
+        // No request body can make a solve fail, so admit one the way a
+        // connection thread does: a time step far past the Courant bound
+        // trips the health monitor on every attempt.
+        let mut sim = Simulation::builder()
+            .resolution(4)
+            .steps(500)
+            .catalogue_event("argentina_deep")
+            .stations(2)
+            .health_every(5)
+            .build()
+            .unwrap();
+        sim.config.dt = Some(1000.0);
+        let engine = &handle.engine;
+        let rx = engine
+            .wait_or_submit(sim.result_key(), sim, 0, TraceId::mint())
+            .unwrap()
+            .expect_err("nothing cached for an unstable run");
+        let failure = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the failing solve answers its waiter")
+            .expect_err("the unstable run must fail");
+        assert!(failure.contains("numerical-health trip"), "{failure}");
+
+        assert_eq!(engine.solves.load(Ordering::Relaxed), 2);
+        assert_eq!(engine.solve_errors.load(Ordering::Relaxed), 1);
+        assert!(engine.inflight.lock().unwrap().is_empty());
+        // What the daemon remembers of the three solves is their `/jobs`
+        // summaries; every outcome went through the sink, so the worker
+        // pool's own backlog — all `finish()` returns — is empty.
+        assert_eq!(engine.jobs_log.lock().unwrap().len(), 3);
+        let campaign = engine.campaign.lock().unwrap().take().unwrap();
+        assert!(campaign.finish().outcomes.is_empty());
+        handle.shutdown();
+    }
 
     #[test]
     fn from_parfile_reads_every_serve_key() {

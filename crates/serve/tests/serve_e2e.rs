@@ -33,6 +33,22 @@ fn start(data_dir: PathBuf) -> ServerHandle {
     .expect("daemon starts")
 }
 
+/// One worker fusing up to `lanes` requests, with a generous fuse window.
+fn start_fusing(tag: &str, lanes: usize, request_deadline: Option<Duration>) -> ServerHandle {
+    serve(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        result_cache_bytes: 32 << 20,
+        request_deadline,
+        workers: 1,
+        data_dir: tmp_dir(tag),
+        ledger_dir: None,
+        ledger_batch: 4,
+        batch_max_lanes: lanes,
+        batch_window_ms: 2_000,
+    })
+    .expect("daemon starts")
+}
+
 /// Per-station `[x, y, z]` sample bits from a `/simulate` response body.
 fn response_bits(body: &str) -> (String, Vec<Vec<[u32; 3]>>) {
     let v: Value = serde_json::from_str(body).expect("response is JSON");
@@ -175,24 +191,12 @@ fn event_bits(event: &str) -> Vec<Vec<[u32; 3]>> {
 
 #[test]
 fn batched_daemon_answers_each_event_bit_identical_to_serial() {
-    // One worker, lanes wide open, a generous fuse window, and *no*
-    // request deadline (a deadline becomes the solver watchdog, which
-    // forces the single-lane path). Three concurrent requests for
-    // different catalogue events share the mesh and timeloop shape, so
-    // they fuse into one 3-lane solve — and every lane must still be
-    // bit-identical to its own single-event serial answer.
-    let daemon = serve(ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        result_cache_bytes: 32 << 20,
-        request_deadline: None,
-        workers: 1,
-        data_dir: tmp_dir("batched"),
-        ledger_dir: None,
-        ledger_batch: 4,
-        batch_max_lanes: 4,
-        batch_window_ms: 2_000,
-    })
-    .expect("daemon starts");
+    // One worker, lanes wide open, a generous fuse window. Three
+    // concurrent requests for different catalogue events share the mesh
+    // and timeloop shape, so they fuse into one 3-lane solve — and every
+    // lane must still be bit-identical to its own single-event serial
+    // answer.
+    let daemon = start_fusing("batched", 4, None);
     let addr = daemon.addr();
 
     let events = ["argentina_deep", "sumatra_thrust", "denali_strike_slip"];
@@ -252,6 +256,57 @@ fn batched_daemon_answers_each_event_bit_identical_to_serial() {
         assert_eq!(cache, "mem_hit");
         assert_eq!(bits, event_bits(event), "cached lane result diverges");
     }
+    daemon.shutdown();
+}
+
+#[test]
+fn deadline_bearing_requests_fuse_and_still_time_out() {
+    // A request's deadline is the connection timing its own wait, not a
+    // property of the solve: two deadline-bearing requests for different
+    // events ride one 2-lane solve, each bit-identical to its serial
+    // answer — and a deadline too short for any solve is still a 504.
+    let daemon = start_fusing("deadline_fused", 2, Some(Duration::from_secs(300)));
+    let addr = daemon.addr();
+
+    let events = ["argentina_deep", "sumatra_thrust"];
+    let threads: Vec<_> = events
+        .map(|event| {
+            std::thread::spawn(move || {
+                let body = format!(
+                    r#"{{"resolution": 4, "steps": 10, "event": "{event}", "stations": 2,
+                        "deadline_ms": 250000}}"#
+                );
+                let (status, reply) = client::post(addr, "/simulate", &body).unwrap();
+                assert_eq!(status, 200, "{reply}");
+                response_bits(&reply).1
+            })
+        })
+        .into_iter()
+        .collect();
+    for (event, thread) in events.iter().zip(threads) {
+        assert_eq!(
+            thread.join().unwrap(),
+            event_bits(event),
+            "fused answer for {event} diverges from serial"
+        );
+    }
+    assert_eq!(health_solves(addr), 2, "every lane counts as one solve");
+    // Members of one fused solve share its wall time to the digit; two
+    // solves on the one worker could not.
+    let (status, jobs) = client::get(addr, "/jobs").unwrap();
+    assert_eq!(status, 200, "{jobs}");
+    let v: Value = serde_json::from_str(&jobs).unwrap();
+    let rows = v.get("jobs").unwrap().as_array().unwrap();
+    assert_eq!(rows.len(), 2, "{jobs}");
+    assert_eq!(rows[0].get("run_s"), rows[1].get("run_s"), "{jobs}");
+
+    let body = r#"{"resolution": 4, "steps": 10, "event": "denali_strike_slip",
+                   "stations": 2, "deadline_ms": 1}"#;
+    let (status, reply) = client::post(addr, "/simulate", body).unwrap();
+    assert_eq!(status, 504, "{reply}");
+    let v: Value = serde_json::from_str(&reply).unwrap();
+    let code = v.get("error").unwrap().get("code").unwrap();
+    assert_eq!(code.as_str().unwrap(), "deadline");
     daemon.shutdown();
 }
 
@@ -388,4 +443,31 @@ fn shutdown_endpoint_stops_the_daemon_cleanly() {
     // join() returns once the accept loop notices the flag and the
     // campaign runs down — a hang here is the failure being tested.
     daemon.join();
+}
+
+#[test]
+fn shutdown_answers_the_request_still_in_flight() {
+    // Shutdown joins the accept loop (and with it every connection)
+    // before it runs the worker pool down, so a request that is mid-solve
+    // when the daemon is told to stop still gets its answer.
+    let daemon = start(tmp_dir("shutdown_in_flight"));
+    let addr = daemon.addr();
+    let body = r#"{"resolution": 4, "steps": 20, "event": "argentina_deep", "stations": 2}"#;
+    let waiter = std::thread::spawn(move || client::post(addr, "/simulate", body).unwrap());
+    loop {
+        let (_, body) = client::get(addr, "/health").unwrap();
+        let v: Value = serde_json::from_str(&body).unwrap();
+        if v.get("in_flight").unwrap().as_u64().unwrap() == 1 {
+            break;
+        }
+        assert!(
+            !waiter.is_finished(),
+            "answered before it was seen in flight"
+        );
+        std::thread::yield_now();
+    }
+    daemon.shutdown();
+    let (status, body) = waiter.join().unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(response_bits(&body).0, "miss");
 }

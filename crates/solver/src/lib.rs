@@ -46,8 +46,8 @@ pub use lts::{LtsLevel, LtsState, LtsSummary};
 pub use source::{EventLane, ReceiverSet, Seismogram, SourceArrays, SourceSpec};
 pub use timeloop::{
     lanes_supported, merge_seismograms, run_distributed, run_serial, try_run_distributed,
-    try_run_distributed_watched, try_run_partitioned, try_run_partitioned_lanes, try_run_serial,
-    try_run_serial_lanes, FtOptions, LaneResult, RankResult, RankSolver, SolverError,
+    try_run_partitioned_lanes, try_run_serial_lanes, FailureClass, FtOptions, LaneResult,
+    RankResult, RankSolver, SolverError,
 };
 // In-flight telemetry types surfaced through the solver's API.
 pub use specfem_comm::{WatchdogConfig, WatchdogReport};
@@ -55,7 +55,6 @@ pub use specfem_obs::{HealthMonitor, HealthReport, HealthTrip};
 
 use specfem_comm::FaultPlan;
 use specfem_kernels::KernelVariant;
-use specfem_model::{SourceTimeFunction, StfKind};
 use std::time::Duration;
 
 /// Earth's rotation rate (rad/s).
@@ -200,14 +199,6 @@ impl Default for SolverConfig {
             flight_buffer_events: 1024,
             trace_id: None,
         }
-    }
-}
-
-impl SolverConfig {
-    /// Default source-time function for a given shortest period: Ricker
-    /// with a half-duration that fits the resolution.
-    pub fn default_stf(shortest_period_s: f64) -> SourceTimeFunction {
-        SourceTimeFunction::new(StfKind::Ricker, shortest_period_s)
     }
 }
 

@@ -77,6 +77,88 @@ impl fmt::Display for SolverError {
 
 impl std::error::Error for SolverError {}
 
+/// The kind of incident a [`SolverError`] reports. The names are the crash
+/// dossier's class strings (part of its schema — CI validates them); the
+/// order is salience, how precisely an error pins down the incident. One
+/// failure fans out across a world as different errors per rank — the
+/// killed rank's `RankDead` beats its peers' secondary
+/// `Disconnected`/`Timeout` noise — and the greatest class names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum FailureClass {
+    /// Raised by the driver before any rank starts, never by a rank.
+    Refused,
+    /// A communication failure that names no culprit.
+    Comm,
+    /// The checkpoint store failed.
+    Artifact,
+    /// The watchdog flagged a straggler.
+    Stall,
+    /// A rank was killed or panicked.
+    RankDead,
+    /// The numerical-health monitor tripped.
+    Health,
+}
+
+impl FailureClass {
+    /// The class string a crash dossier carries.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Self::Refused => "refused",
+            Self::Comm => "comm",
+            Self::Artifact => "artifact",
+            Self::Stall => "stall",
+            Self::RankDead => "rank_dead",
+            Self::Health => "health",
+        }
+    }
+}
+
+impl SolverError {
+    /// What kind of failure this is — the only place that decides:
+    /// `(class, rank, step, peer lost)`.
+    fn classify(&self) -> (FailureClass, Option<usize>, Option<usize>, bool) {
+        use FailureClass as C;
+        match self {
+            Self::Health(r) => (C::Health, Some(r.rank), Some(r.step), false),
+            Self::Comm(CommError::RankDead { rank, step }) => {
+                (C::RankDead, Some(*rank), Some(*step), true)
+            }
+            Self::RankPanicked { rank, .. } => (C::RankDead, Some(*rank), None, true),
+            Self::Comm(CommError::Stalled { rank, .. }) => (C::Stall, Some(*rank), None, true),
+            Self::Checkpoint(_) => (C::Artifact, None, None, false),
+            Self::Comm(CommError::Disconnected { .. } | CommError::Timeout { .. }) => {
+                (C::Comm, None, None, true)
+            }
+            Self::Comm(_) => (C::Comm, None, None, false),
+            Self::Refused(_) => (C::Refused, None, None, false),
+        }
+    }
+
+    /// The incident class; compare classes to pick the most salient of
+    /// several ranks' errors.
+    pub fn class(&self) -> FailureClass {
+        self.classify().0
+    }
+
+    /// The `(rank, step)` the error pins the incident to, as far as it
+    /// carries them.
+    pub fn coordinates(&self) -> (Option<usize>, Option<usize>) {
+        let (_, rank, step, _) = self.classify();
+        (rank, step)
+    }
+
+    /// Whether a peer died or wedged — the kind of failure elastic
+    /// recovery routes around by re-admitting the survivors on a smaller
+    /// world. A dead peer presents to survivors as `RankDead`, `Stalled`,
+    /// `Disconnected`, or — when the receive deadline fires before the dead
+    /// rank's channel drops — a plain `Timeout`; from the receiver's seat
+    /// those are the same event. Health trips, protocol corruption, and
+    /// checkpoint-store failures would fail on any world size.
+    pub fn peer_lost(&self) -> bool {
+        self.classify().3
+    }
+}
+
 impl From<CommError> for SolverError {
     fn from(e: CommError) -> Self {
         SolverError::Comm(e)
@@ -138,11 +220,6 @@ pub struct RankResult {
 }
 
 impl RankResult {
-    /// Sustained flop rate of this rank (flops/s of wall time).
-    pub fn flop_rate(&self) -> f64 {
-        self.flops as f64 / self.elapsed_s.max(1e-12)
-    }
-
     /// Fraction of the main loop spent communicating (wall basis).
     pub fn comm_fraction(&self) -> f64 {
         self.comm.wall_time_s / self.elapsed_s.max(1e-12)
@@ -1164,29 +1241,26 @@ fn first_lane(run: Result<Vec<LaneResult>, SolverError>) -> Result<RankResult, S
 
 /// Run serially (one rank, whole mesh) — the merged mesher+solver path.
 /// Any failure (including an injected fault) panics; use
-/// [`try_run_serial`] for typed errors, checkpointing and resume.
+/// [`try_run_serial_lanes`] for typed errors, checkpointing and resume.
 pub fn run_serial(mesh: &GlobalMesh, config: &SolverConfig, stations: &[Station]) -> RankResult {
-    try_run_serial(mesh, config, stations, FtOptions::default())
-        .unwrap_or_else(|e| panic!("solver rank failed: {e}"))
+    let lanes = [single_lane(config, stations)];
+    first_lane(try_run_serial_lanes(
+        mesh,
+        config,
+        &lanes,
+        FtOptions::default(),
+        false,
+    ))
+    .unwrap_or_else(|e| panic!("solver rank failed: {e}"))
 }
 
-/// The fault-tolerant serial path: one rank, whole mesh, typed errors.
+/// The fault-tolerant serial path: one rank, whole mesh, typed errors, K
+/// event lanes fused into one solve — every lane's outcome, in lane order.
 /// Honors `config.fault_plan` (wrapping the in-process communicator in a
 /// [`FaultyComm`]) and the [`FtOptions`] checkpoint sink/restore hooks —
-/// the single-rank analog of [`try_run_distributed`], which the campaign
-/// runtime uses so a killed job can resume from its latest checkpoint.
-pub fn try_run_serial(
-    mesh: &GlobalMesh,
-    config: &SolverConfig,
-    stations: &[Station],
-    opts: FtOptions<'_>,
-) -> Result<RankResult, SolverError> {
-    let lanes = [single_lane(config, stations)];
-    first_lane(try_run_serial_lanes(mesh, config, &lanes, opts, false))
-}
-
-/// [`try_run_serial`] for K event lanes fused into one solve: every
-/// lane's outcome, in lane order.
+/// the single-rank analog of [`try_run_partitioned_lanes`], which the
+/// campaign runtime uses so a killed job can resume from its latest
+/// checkpoint.
 pub fn try_run_serial_lanes(
     mesh: &GlobalMesh,
     config: &SolverConfig,
@@ -1216,6 +1290,7 @@ pub fn run_distributed(
     profile: NetworkProfile,
 ) -> Vec<RankResult> {
     try_run_distributed(mesh, config, stations, profile, FtOptions::default())
+        .0
         .into_iter()
         .map(|r| r.unwrap_or_else(|e| panic!("solver rank failed: {e}")))
         .collect()
@@ -1302,65 +1377,41 @@ fn rank_main(
 /// The fault-tolerant `mpirun` analog: per-rank typed results instead of a
 /// world-wide panic. Honors `config.recv_timeout` (a stalled peer surfaces
 /// as `CommError::Timeout` naming the `(src, tag)` it waited on),
-/// `config.fault_plan` (deterministic injection), and `config.checkpoint_every`
-/// together with the [`FtOptions`] hooks.
+/// `config.fault_plan` (deterministic injection), `config.checkpoint_every`
+/// together with the [`FtOptions`] hooks, and `config.watchdog_timeout`
+/// (see [`try_run_partitioned_lanes`]; the report is `None` with the
+/// watchdog off).
 pub fn try_run_distributed(
     mesh: &GlobalMesh,
     config: &SolverConfig,
     stations: &[Station],
     profile: NetworkProfile,
     opts: FtOptions<'_>,
-) -> Vec<Result<RankResult, SolverError>> {
-    try_run_distributed_watched(mesh, config, stations, profile, opts).0
-}
-
-/// [`try_run_distributed`] plus the straggler watchdog: when
-/// `config.watchdog_timeout` is set, a monitor thread samples every rank's
-/// step heartbeat, publishes skew gauges, and escalates a stall to
-/// [`CommError::Stalled`] on the healthy ranks; the returned
-/// [`specfem_comm::WatchdogReport`] carries the skew/stall telemetry.
-/// With the watchdog off the report is `None` and the run is identical to
-/// [`try_run_distributed`].
-pub fn try_run_distributed_watched(
-    mesh: &GlobalMesh,
-    config: &SolverConfig,
-    stations: &[Station],
-    profile: NetworkProfile,
-    opts: FtOptions<'_>,
-) -> (
-    Vec<Result<RankResult, SolverError>>,
-    Option<specfem_comm::WatchdogReport>,
-) {
-    let partition = Partition::compute(mesh);
-    try_run_partitioned(mesh, config, stations, profile, opts, &partition)
-}
-
-/// [`try_run_distributed_watched`] over an *explicit* partition — the
-/// elastic-recovery entry point. The cubed-sphere assignment of
-/// [`Partition::compute`] only exists for `6 × nproc²` worlds; a
-/// shrink-to-survive resume passes [`Partition::balanced`] here to run the
-/// same global mesh on any world size. The watchdog (when armed) is built
-/// for `partition.num_ranks`, so its report and gauges always reflect the
-/// world actually running — not the one that wrote the checkpoint.
-pub fn try_run_partitioned(
-    mesh: &GlobalMesh,
-    config: &SolverConfig,
-    stations: &[Station],
-    profile: NetworkProfile,
-    opts: FtOptions<'_>,
-    partition: &Partition,
 ) -> (
     Vec<Result<RankResult, SolverError>>,
     Option<specfem_comm::WatchdogReport>,
 ) {
     let lanes = [single_lane(config, stations)];
+    let partition = Partition::compute(mesh);
     let (per_rank, watchdog) =
-        try_run_partitioned_lanes(mesh, config, &lanes, profile, opts, partition, false);
+        try_run_partitioned_lanes(mesh, config, &lanes, profile, opts, &partition, false);
     (per_rank.into_iter().map(first_lane).collect(), watchdog)
 }
 
-/// [`try_run_partitioned`] for K event lanes fused into one solve: per
-/// rank, every lane's outcome in lane order.
+/// The thread world over an *explicit* partition, K event lanes fused into
+/// one solve: per rank, every lane's outcome in lane order. The
+/// cubed-sphere assignment of [`Partition::compute`] only exists for
+/// `6 × nproc²` worlds; a shrink-to-survive resume passes
+/// [`Partition::balanced`] here to run the same global mesh on any world
+/// size.
+///
+/// When `config.watchdog_timeout` is set, a monitor thread samples every
+/// rank's step heartbeat, publishes skew gauges, and escalates a stall to
+/// [`CommError::Stalled`] on the healthy ranks; the returned
+/// [`specfem_comm::WatchdogReport`] carries the skew/stall telemetry. The
+/// watchdog is built for `partition.num_ranks`, so its report and gauges
+/// always reflect the world actually running — not the one that wrote the
+/// checkpoint.
 pub fn try_run_partitioned_lanes(
     mesh: &GlobalMesh,
     config: &SolverConfig,
@@ -1683,6 +1734,48 @@ mod tests {
             assert_eq!(total.tag_traffic(tags::HALO_SOLID), (130, 875_160));
             assert_eq!(total.tag_traffic(tags::HALO_FLUID), (130, 291_720));
             assert_eq!(total.per_tag.len(), 2);
+        }
+    }
+
+    #[test]
+    fn every_error_variant_has_its_pinned_classification() {
+        // One row per `SolverError` / `CommError` variant: (class string,
+        // rank, step, salience, peer lost). The literals are the ones the
+        // four separate matchers in core and campaign held before they
+        // were folded into `SolverError::classify`; the class strings are
+        // the crash-dossier schema.
+        use std::time::Duration;
+        let waited = Duration::from_secs(1);
+        let health = specfem_obs::HealthReport {
+            rank: 3,
+            step: 40,
+            field: "displ",
+            point: 0,
+            element: None,
+            value: f64::NAN,
+            norm: 0.0,
+            trip: specfem_obs::HealthTrip::Nan,
+        };
+        let comm = SolverError::Comm;
+        #[rustfmt::skip]
+        let table = [
+            (SolverError::Health(health), "health", Some(3), Some(40), 5, false),
+            (comm(CommError::RankDead { rank: 2, step: 12 }), "rank_dead", Some(2), Some(12), 4, true),
+            (SolverError::RankPanicked { rank: 4, message: "boom".into() }, "rank_dead", Some(4), None, 4, true),
+            (comm(CommError::Stalled { rank: 1, last_step: Some(7), age: waited }), "stall", Some(1), None, 3, true),
+            (SolverError::Checkpoint(CheckpointError("disk full".into())), "artifact", None, None, 2, false),
+            (comm(CommError::Disconnected { peer: 5 }), "comm", None, None, 1, true),
+            (comm(CommError::Timeout { src: 0, tag: 100, waited }), "comm", None, None, 1, true),
+            (comm(CommError::PayloadType { src: 0, tag: 100 }), "comm", None, None, 1, false),
+            (comm(CommError::InvalidRank { rank: 9, size: 6 }), "comm", None, None, 1, false),
+            (comm(CommError::Protocol { detail: "width".into() }), "comm", None, None, 1, false),
+            (SolverError::Refused("wrong mesh".into()), "refused", None, None, 0, false),
+        ];
+        for (error, class, rank, step, salience, peer_lost) in table {
+            assert_eq!(error.class().as_str(), class, "{error}");
+            assert_eq!(error.coordinates(), (rank, step), "{error}");
+            assert_eq!(error.class() as u8, salience, "{error}");
+            assert_eq!(error.peer_lost(), peer_lost, "{error}");
         }
     }
 }

@@ -127,7 +127,7 @@ fn killed_run_resumes_bit_identical() {
             store: sink_store.clone(),
         })
     };
-    let results = try_run_distributed(
+    let (results, _) = try_run_distributed(
         &mesh,
         &config,
         &stations,
@@ -176,7 +176,7 @@ fn killed_run_resumes_bit_identical() {
             store: sink_store.clone(),
         })
     };
-    let resumed = try_run_distributed(
+    let (resumed, _) = try_run_distributed(
         &mesh,
         &resume_config,
         &stations,
@@ -247,7 +247,7 @@ fn mismatched_checkpoint_is_rejected() {
             flops: 0,
         }))
     };
-    let results = try_run_distributed(
+    let (results, _) = try_run_distributed(
         &mesh,
         &config,
         &[],

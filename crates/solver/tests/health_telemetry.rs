@@ -12,8 +12,8 @@ use specfem_mesh::stations::Station;
 use specfem_mesh::{GlobalMesh, MeshParams, Partition};
 use specfem_model::{Prem, SourceTimeFunction, StfKind};
 use specfem_solver::{
-    merge_seismograms, run_distributed, try_run_distributed_watched, FtOptions, HealthTrip,
-    RankSolver, SolverConfig, SolverError, SourceSpec,
+    merge_seismograms, run_distributed, try_run_distributed, FtOptions, HealthTrip, RankSolver,
+    SolverConfig, SolverError, SourceSpec,
 };
 
 fn test_mesh() -> GlobalMesh {
@@ -121,7 +121,7 @@ fn delayed_rank_trips_the_watchdog_and_escalates() {
     // the 150 ms stall threshold.
     config.fault_plan = Some(FaultPlan::new(0xC0FF_EE00).delay(1, 2, 1000, 100_000));
 
-    let (results, report) = try_run_distributed_watched(
+    let (results, report) = try_run_distributed(
         &mesh,
         &config,
         &stations,
@@ -173,7 +173,7 @@ fn killed_rank_surfaces_typed_errors_without_hanging() {
     config.recv_timeout = Some(Duration::from_secs(2));
     config.fault_plan = Some(FaultPlan::new(0xDEAD_0002).kill(2, 5));
 
-    let (results, report) = try_run_distributed_watched(
+    let (results, report) = try_run_distributed(
         &mesh,
         &config,
         &stations,
@@ -220,7 +220,7 @@ fn armed_telemetry_is_bit_identical_to_disabled() {
     let mut armed_config = test_config(nsteps);
     armed_config.health_every = 3;
     armed_config.watchdog_timeout = Some(Duration::from_secs(30));
-    let (armed, report) = try_run_distributed_watched(
+    let (armed, report) = try_run_distributed(
         &mesh,
         &armed_config,
         &stations,

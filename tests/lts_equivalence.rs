@@ -139,7 +139,7 @@ fn run_partitioned(
     let store = FinalStates::default();
     let sink_store = store.clone();
     let sink_factory = move |rank: usize| -> Box<dyn CheckpointSink> { sink_store.sink(rank) };
-    let results = try_run_distributed(
+    let (results, _) = try_run_distributed(
         mesh,
         &config,
         &stations(),
@@ -224,7 +224,7 @@ fn multi_rate_run_reports_lts_telemetry() {
         lts_max_rate: 4,
         ..base_config(8)
     };
-    let results = try_run_distributed(
+    let (results, _) = try_run_distributed(
         &mesh,
         &config,
         &stations(),

@@ -53,7 +53,7 @@ fn run(
     let store = FinalStates::default();
     let sink_store = store.clone();
     let sink_factory = move |rank: usize| -> Box<dyn CheckpointSink> { sink_store.sink(rank) };
-    let results = try_run_distributed(
+    let (results, _) = try_run_distributed(
         mesh,
         &config,
         &stations(),
