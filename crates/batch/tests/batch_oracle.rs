@@ -40,6 +40,8 @@ fn config(variant: KernelVariant, nsteps: usize) -> SolverConfig {
 
 /// Lane i: the i-th builtin CMT event, with a per-lane station set (the
 /// sizes differ so per-lane receiver plumbing is actually exercised).
+/// Past the catalogue's end the events repeat with a longer source time
+/// function, so no two lanes of a wide batch carry the same wavefield.
 fn lanes(n: usize) -> Vec<EventLane> {
     let events = builtin_events();
     (0..n)
@@ -47,7 +49,10 @@ fn lanes(n: usize) -> Vec<EventLane> {
             name: format!("event-{i}"),
             source: SourceSpec::Cmt {
                 event: events[i % events.len()].clone(),
-                stf: SourceTimeFunction::new(StfKind::Ricker, 200.0),
+                stf: SourceTimeFunction::new(
+                    StfKind::Ricker,
+                    200.0 + 10.0 * (i / events.len()) as f64,
+                ),
             },
             stations: global_network(2 + (i % 2)),
         })
@@ -165,6 +170,34 @@ fn serial_batch_is_bit_identical_with_rotation_and_gravity() {
         ..config(KernelVariant::Reference, 6)
     };
     run_batch_and_compare(&mesh, &cfg, &[2], &Partition::serial(&mesh));
+}
+
+/// Lane counts whose chunk decompositions (2 + 1, 4 + 2 + 1, 8, 8 + 1)
+/// reach every kernel width, remainders included, with every term of the
+/// pointwise stage on.
+#[test]
+fn serial_batch_is_bit_identical_for_k_3_7_8_9_with_rotation_and_gravity() {
+    let mesh = prem_mesh();
+    let cfg = SolverConfig {
+        rotation: true,
+        gravity: true,
+        ..config(KernelVariant::Reference, 4)
+    };
+    run_batch_and_compare(&mesh, &cfg, &[3, 7, 8, 9], &Partition::serial(&mesh));
+}
+
+#[test]
+fn eight_lane_batch_is_bit_identical_on_six_ranks_with_overlap_on_and_off() {
+    let mesh = prem_mesh();
+    for overlap in [true, false] {
+        let cfg = SolverConfig {
+            overlap,
+            rotation: true,
+            gravity: true,
+            ..config(KernelVariant::Reference, 4)
+        };
+        run_batch_and_compare(&mesh, &cfg, &[8], &Partition::compute(&mesh));
+    }
 }
 
 /// What the shared loop newly admits at K > 1: K ∈ {1, 2, 4} × both halo

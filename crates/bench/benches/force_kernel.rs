@@ -6,12 +6,20 @@
 //! (modern LLVM already auto-vectorizes some of the reference, exactly as
 //! the paper notes compilers of its era had begun to); `blas_style` loses
 //! badly to both.
+//!
+//! The `lanes` group is the fused tier's kernel-level number: both
+//! cut-plane stages on lane-major blocks of k = 1, 2, 3, 8, 16 event
+//! lanes, throughput in lane-elements per second (its inverse is the cost
+//! of one lane of one element), beside the single-lane reference.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use specfem_gll::GllBasis;
-use specfem_kernels::{blas_style, reference, simd, DerivOps, NGLL3, NGLL3_PADDED};
+use specfem_kernels::{
+    batched_cutplane_derivatives, batched_cutplane_transpose_accumulate, blas_style, reference,
+    simd, DerivOps, KernelVariant, NGLL3, NGLL3_PADDED,
+};
 
 const BATCH: usize = 512; // elements per iteration — streams like the solver
 
@@ -164,9 +172,76 @@ fn bench_transpose(c: &mut Criterion) {
     group.finish();
 }
 
+/// Lane cost (see the module header): a lane that costs less than the
+/// `single` row is what makes a fused step cheaper than `k` serial ones.
+fn bench_lanes(c: &mut Criterion) {
+    let ops = DerivOps::from_basis(&GllBasis::new(4));
+    let mut group = c.benchmark_group("lanes");
+
+    group.throughput(Throughput::Elements(BATCH as u64));
+    group.bench_function("single", |b| {
+        let u = make_batch(NGLL3_PADDED);
+        let [mut t1, mut t2, mut t3, mut out] = [(); 4].map(|_| vec![0.0f32; NGLL3_PADDED]);
+        b.iter(|| {
+            for e in 0..BATCH {
+                let u = &u[e * NGLL3_PADDED..(e + 1) * NGLL3_PADDED];
+                reference::cutplane_derivatives(
+                    black_box(u),
+                    &ops.hprime,
+                    &mut t1,
+                    &mut t2,
+                    &mut t3,
+                );
+                reference::cutplane_transpose_accumulate(
+                    &t1,
+                    &t2,
+                    &t3,
+                    &ops.hprime_wgll_t,
+                    &mut out,
+                );
+            }
+            black_box(out[0])
+        })
+    });
+
+    for k in [1usize, 2, 3, 8, 16] {
+        group.throughput(Throughput::Elements((BATCH * k) as u64));
+        group.bench_function(BenchmarkId::new("k", k), |b| {
+            let n = NGLL3 * k;
+            let u = make_batch(n);
+            let [mut t1, mut t2, mut t3, mut out] = [(); 4].map(|_| vec![0.0f32; n]);
+            b.iter(|| {
+                for e in 0..BATCH {
+                    batched_cutplane_derivatives(
+                        KernelVariant::Reference,
+                        black_box(&u[e * n..(e + 1) * n]),
+                        k,
+                        &ops,
+                        &mut t1,
+                        &mut t2,
+                        &mut t3,
+                    );
+                    batched_cutplane_transpose_accumulate(
+                        KernelVariant::Reference,
+                        &t1,
+                        &t2,
+                        &t3,
+                        k,
+                        &ops,
+                        &mut out,
+                    );
+                }
+                black_box(out[0])
+            })
+        });
+    }
+
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_derivatives, bench_transpose
+    targets = bench_derivatives, bench_transpose, bench_lanes
 }
 criterion_main!(benches);

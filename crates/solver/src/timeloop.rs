@@ -15,7 +15,7 @@ use specfem_comm::{
     finish_halo_assembly, post_halo_exchange, tags, CommError, Communicator, FaultyComm,
     NetworkProfile, SerialComm, StatsSnapshot, ThreadWorld,
 };
-use specfem_kernels::{DerivOps, FlopCounter, MAX_BATCH_LANES};
+use specfem_kernels::{DerivOps, FlopCounter, MAX_BATCH_LANES, NGLL};
 use specfem_mesh::stations::Station;
 use specfem_mesh::{GlobalMesh, LocalMesh, Partition};
 use specfem_obs::{HealthMonitor, HealthReport};
@@ -387,6 +387,14 @@ impl RankSolver {
         let _span = specfem_obs::span("solver.setup");
         let k = lanes.len();
         lanes_supported(config, k).unwrap_or_else(|e| panic!("unsupported lane setup: {e}"));
+        // The one degree guard of the force kernels (solid and fluid, any
+        // lane count): they index 125-point element blocks unchecked.
+        assert_eq!(
+            mesh.basis.degree + 1,
+            NGLL,
+            "solver kernels are specialized to degree 4; the mesh has degree {}",
+            mesh.basis.degree
+        );
         let gravity_profile = if config.gravity {
             Some(specfem_model::GravityProfile::new(
                 &specfem_model::Prem::isotropic_no_ocean(),
@@ -1486,6 +1494,18 @@ mod tests {
             },
             ..SolverConfig::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "specialized to degree 4; the mesh has degree 3")]
+    fn a_degree_3_mesh_is_refused_at_solver_setup() {
+        let params = MeshParams {
+            degree: 3,
+            ..MeshParams::new(4, 1)
+        };
+        let mesh = GlobalMesh::build(&params, &Prem::isotropic_no_ocean());
+        let local = Partition::serial(&mesh).extract(&mesh, 0);
+        RankSolver::new(local, &small_config(1), &[], &mut SerialComm::new());
     }
 
     #[test]
