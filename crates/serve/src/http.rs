@@ -138,18 +138,20 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<Request, HttpError> {
     Ok(Request { method, path, body })
 }
 
-/// Write one `Connection: close` response with a JSON body.
+/// Write one `Connection: close` response with a JSON body, in one
+/// `write` where the stream takes it: a head written piece by piece goes
+/// out as several small segments.
 pub fn write_response(
     stream: &mut impl Write,
     status: u16,
     reason: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    write!(
-        stream,
+    let response = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
+    );
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 

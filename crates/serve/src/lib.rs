@@ -49,8 +49,8 @@ pub mod request;
 pub use request::{parse_request, ServeError, SimRequest};
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, ErrorKind};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -242,6 +242,9 @@ struct Engine {
     campaign: Mutex<Option<Campaign>>,
     default_deadline: Option<Duration>,
     shutdown: AtomicBool,
+    /// Where [`Engine::stop`] connects to wake the accept thread: the
+    /// bound address, with an unspecified IP replaced by loopback.
+    wake_addr: SocketAddr,
     started: Instant,
     requests: AtomicU64,
     solves: AtomicU64,
@@ -256,6 +259,24 @@ struct Engine {
 }
 
 impl Engine {
+    /// Raise the shutdown flag, then wake the accept thread out of its
+    /// blocking `accept` with one throw-away connection to the daemon's
+    /// own port. The loop reads the flag after every `accept` returns,
+    /// so the flag is always seen, whoever the wake-up was.
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        // Refused once the listener is closed: then nothing needs waking.
+        // Any other failure (no descriptor or local port free) would leave
+        // the loop blocked for good, so it is tried again.
+        while let Err(e) = TcpStream::connect(self.wake_addr) {
+            if e.kind() == ErrorKind::ConnectionRefused {
+                break;
+            }
+            global_counter_add("serve.wake_retries", 1);
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
     /// The campaign's outcome sink, called on the worker thread that
     /// finished the job: remember it for `GET /jobs` and `/trace/<id>`,
     /// publish the answer to the cache, wake the connections waiting on
@@ -710,7 +731,7 @@ impl ServerHandle {
     /// Stop the daemon from this side (the programmatic equivalent of
     /// `POST /shutdown`).
     pub fn shutdown(mut self) {
-        self.engine.shutdown.store(true, Ordering::SeqCst);
+        self.engine.stop();
         self.finish();
     }
 
@@ -732,8 +753,11 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.engine.shutdown.store(true, Ordering::SeqCst);
-        self.finish();
+        // After `join` or `shutdown` the daemon has already finished.
+        if self.accept.is_some() {
+            self.engine.stop();
+            self.finish();
+        }
     }
 }
 
@@ -773,7 +797,6 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     pin_mmap_threshold();
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     let cache = ResultCache::new(cfg.data_dir.join("results"), cfg.result_cache_bytes)
         .map_err(|e| std::io::Error::other(e.to_string()))?;
@@ -783,6 +806,7 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         campaign: Mutex::new(None),
         default_deadline: cfg.request_deadline,
         shutdown: AtomicBool::new(false),
+        wake_addr: wake_addr(addr),
         started: Instant::now(),
         requests: AtomicU64::new(0),
         solves: AtomicU64::new(0),
@@ -832,48 +856,89 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
+/// The address [`Engine::stop`] connects to: the bound one, with an
+/// unspecified IP (`0.0.0.0`, `[::]`) replaced by the loopback address of
+/// the same family, since an unspecified address names no peer.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// How long the accept loop waits before its next `accept` after this
+/// one failed. A connection the peer aborted before it was accepted, or
+/// a signal, costs nothing: accept the next at once. Anything else —
+/// above all running out of descriptors or buffers (EMFILE, ENFILE,
+/// ENOBUFS, ENOMEM) — is waited out: clients keep queueing in the
+/// backlog while the pause stops the loop spinning on the shortage.
+fn accept_retry_pause(e: &std::io::Error) -> Duration {
+    match e.kind() {
+        ErrorKind::ConnectionAborted | ErrorKind::Interrupted => Duration::ZERO,
+        _ => Duration::from_millis(10),
+    }
+}
+
 /// Accept connections until shutdown; one thread per connection.
+///
+/// `accept` blocks. Whoever raises the shutdown flag also connects to the
+/// listener ([`Engine::stop`]), and the flag is read after every return,
+/// so the connection that woke the loop is dropped unanswered. No error
+/// ends the loop; only the flag does.
 fn accept_loop(listener: TcpListener, engine: Arc<Engine>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !engine.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    // Each live connection's thread, beside a clone of its socket that
+    // shutdown uses to end a read still waiting for the client.
+    let mut conns: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
+    loop {
+        let accepted = listener.accept();
+        if engine.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
+                // Without the clone this connection could hold shutdown
+                // forever; refuse it rather than risk that.
+                let Ok(socket) = stream.try_clone() else {
+                    continue;
+                };
                 let engine = Arc::clone(&engine);
-                conns.push(std::thread::spawn(move || {
-                    handle_connection(stream, engine)
-                }));
-                conns.retain(|h| !h.is_finished());
+                let thread = std::thread::spawn(move || handle_connection(stream, engine));
+                conns.push((thread, socket));
+                conns.retain(|(thread, _)| !thread.is_finished());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+            Err(e) => {
+                global_counter_add("serve.accept_errors", 1);
+                std::thread::sleep(accept_retry_pause(&e));
             }
-            Err(_) => break,
         }
     }
-    for h in conns {
-        let _ = h.join();
+    // A thread still waiting for its request head reads end-of-stream and
+    // returns; one that has read its request still writes the answer.
+    for (_, stream) in &conns {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    for (thread, _) in conns {
+        let _ = thread.join();
     }
 }
 
 /// Serve one connection: read a request, route it, answer, close.
 fn handle_connection(stream: TcpStream, engine: Arc<Engine>) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let req = match http::read_request(&mut reader) {
-        Ok(req) => req,
+    let (status, reason, body) = match http::read_request(&mut BufReader::new(&stream)) {
+        Ok(req) => route(&engine, &req),
         Err(http::HttpError::Closed) => return,
         Err(e) => {
             let err = ServeError::bad_request("http", e.to_string());
-            let _ = http::write_response(&mut writer, 400, "Bad Request", &err.to_json());
-            return;
+            (err.status, err.reason(), err.to_json())
         }
     };
-    let (status, reason, body) = route(&engine, &req);
-    let _ = http::write_response(&mut writer, status, reason, &body);
-    let _ = writer.flush();
+    let _ = http::write_response(&mut &stream, status, reason, &body);
+    // The accept loop's clone keeps the socket open past this thread:
+    // end the reply now, so a client reading to end-of-stream is not
+    // left waiting for the next connection to prune it.
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
 fn route(engine: &Arc<Engine>, req: &http::Request) -> (u16, &'static str, String) {
@@ -908,7 +973,7 @@ fn route_inner(engine: &Arc<Engine>, req: &http::Request) -> (u16, &'static str,
         }
         ("POST", "/simulate") => engine.simulate(&req.body),
         ("POST", "/shutdown") => {
-            engine.shutdown.store(true, Ordering::SeqCst);
+            engine.stop();
             (200, "OK", "{\"status\":\"shutting_down\"}".to_string())
         }
         ("GET" | "POST", "/health" | "/metrics" | "/simulate" | "/shutdown" | "/jobs") => {
@@ -944,16 +1009,15 @@ pub mod client {
         body: &str,
     ) -> Result<(u16, String), HttpError> {
         let stream = TcpStream::connect(addr).map_err(|e| HttpError::Io(e.to_string()))?;
-        let mut writer = stream
-            .try_clone()
-            .map_err(|e| HttpError::Io(e.to_string()))?;
-        write!(
-            writer,
+        // One `write`: a request written piece by piece leaves the
+        // daemon's reader waking once per segment.
+        let request = format!(
             "{method} {path} HTTP/1.1\r\nHost: specfem\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
             body.len()
-        )
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-        writer.flush().map_err(|e| HttpError::Io(e.to_string()))?;
+        );
+        (&stream)
+            .write_all(request.as_bytes())
+            .map_err(|e| HttpError::Io(e.to_string()))?;
         http::read_response(&mut BufReader::new(stream))
     }
 
@@ -1082,6 +1146,31 @@ mod tests {
             bytes("99999999999G"),
             Err("RESULT_CACHE_BYTES: byte count overflows: 99999999999G".to_string())
         );
+    }
+
+    #[test]
+    fn no_accept_error_ends_the_loop_and_a_shortage_pauses_it() {
+        use super::accept_retry_pause;
+        use std::io::Error;
+        // ECONNABORTED and EINTR: the next connection is unaffected.
+        for errno in [103, 4] {
+            let e = Error::from_raw_os_error(errno);
+            assert_eq!(accept_retry_pause(&e), Duration::ZERO, "{e}");
+        }
+        // EMFILE, ENFILE, ENOBUFS, ENOMEM: wait for what ran out.
+        for errno in [24, 23, 105, 12] {
+            let e = Error::from_raw_os_error(errno);
+            assert!(accept_retry_pause(&e) > Duration::ZERO, "{e}");
+        }
+    }
+
+    #[test]
+    fn the_wake_up_dials_loopback_for_an_unspecified_bind() {
+        use super::wake_addr;
+        let wake = |bound: &str| wake_addr(bound.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7460"), "127.0.0.1:7460");
+        assert_eq!(wake("[::]:7460"), "[::1]:7460");
+        assert_eq!(wake("192.0.2.7:7460"), "192.0.2.7:7460");
     }
 
     /// Minor page faults of the calling thread so far.

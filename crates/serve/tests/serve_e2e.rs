@@ -4,7 +4,9 @@
 //! (memory tier), and after a restart (disk tier, no re-solve).
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::mpsc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use serde_json::Value;
 use specfem_serve::{client, serve, ServeConfig, ServerHandle};
@@ -470,4 +472,89 @@ fn shutdown_answers_the_request_still_in_flight() {
     let (status, body) = waiter.join().unwrap();
     assert_eq!(status, 200, "{body}");
     assert_eq!(response_bits(&body).0, "miss");
+}
+
+/// Run `stop` on a helper thread; the receiver yields once it returned,
+/// so a hang fails the caller's `recv_timeout` instead of the whole suite.
+fn spawn_stop(stop: impl FnOnce() + Send + 'static) -> (JoinHandle<()>, mpsc::Receiver<()>) {
+    let (tx, rx) = mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        stop();
+        let _ = tx.send(());
+    });
+    (thread, rx)
+}
+
+#[test]
+fn an_idle_connection_does_not_hold_shutdown() {
+    let daemon = start(tmp_dir("idle_client"));
+    let addr = daemon.addr();
+    // Connected, silent. Connections are accepted in order, so once the
+    // health check made after it is answered, this one has its thread.
+    let idle = std::net::TcpStream::connect(addr).unwrap();
+    health_solves(addr);
+    let (stopper, stopped) = spawn_stop(move || daemon.shutdown());
+    let stopped = stopped.recv_timeout(Duration::from_secs(2));
+    drop(idle);
+    // A failing run ends here, without waiting on a shutdown that may
+    // never return; a passing one has already returned.
+    assert!(
+        stopped.is_ok(),
+        "shutdown waited for a client that never sent a request"
+    );
+    stopper.join().unwrap();
+}
+
+#[test]
+fn sequential_requests_to_an_idle_daemon_are_not_paced_by_a_poll() {
+    let daemon = start(tmp_dir("health_burst"));
+    let addr = daemon.addr();
+    // Best of three rounds, so that other tests solving on every core
+    // cannot fail it. An accept loop that sleeps 5 ms whenever no
+    // connection is waiting spends 250 ms on every round.
+    let best = (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..50 {
+                health_solves(addr);
+            }
+            t0.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(
+        best < Duration::from_millis(100),
+        "50 sequential /health requests took {best:?}"
+    );
+    daemon.shutdown();
+}
+
+#[test]
+fn shutdown_endpoint_releases_join_within_a_second() {
+    let daemon = start(tmp_dir("shutdown_prompt"));
+    let (status, body) = client::post(daemon.addr(), "/shutdown", "").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (joiner, joined) = spawn_stop(move || daemon.join());
+    assert!(
+        joined.recv_timeout(Duration::from_secs(1)).is_ok(),
+        "join() still blocked 1 s after POST /shutdown"
+    );
+    joiner.join().unwrap();
+}
+
+#[test]
+fn a_daemon_bound_to_every_interface_wakes_itself_to_shut_down() {
+    let daemon = serve(ServeConfig {
+        addr: "0.0.0.0:0".to_string(),
+        workers: 1,
+        ..ServeConfig::from_parfile("", tmp_dir("any_addr")).unwrap()
+    })
+    .expect("daemon starts");
+    assert!(daemon.addr().ip().is_unspecified());
+    let (stopper, stopped) = spawn_stop(move || daemon.shutdown());
+    assert!(
+        stopped.recv_timeout(Duration::from_secs(1)).is_ok(),
+        "shutdown of a 0.0.0.0 daemon still blocked after 1 s"
+    );
+    stopper.join().unwrap();
 }
