@@ -92,8 +92,8 @@ fn main() {
             result.ranks.len(),
             100.0 * report.comm_fraction_mean,
             100.0 * modeled_mean,
-            report.total_bytes_sent,
-            report.total_messages,
+            report.totals.bytes_sent,
+            report.totals.messages_sent,
             span_events
         );
     }

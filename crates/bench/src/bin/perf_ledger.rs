@@ -4,11 +4,14 @@
 //! regression.
 //!
 //! Deterministic counters (bytes, messages, collectives, element·steps)
-//! are compared two-sided on every machine — they must not drift at all
-//! beyond the tolerance. Wall seconds are compared one-sided (slower =
-//! regression) only when the baseline was measured on a comparable
-//! machine, so a committed baseline never fails CI just because the
-//! runner is slower hardware.
+//! are compared two-sided on every machine, from each harness's newest
+//! record — they must not drift at all beyond the tolerance. Wall
+//! seconds are compared one-sided (slower = regression) only when the
+//! baseline was measured on a comparable machine, so a committed
+//! baseline never fails CI just because the runner is slower hardware.
+//! Each baseline's wall time is the median of three runs, so the gated
+//! wall time is too: the median over the harness's last three current
+//! records (one run alone swings by more than the tolerance).
 //!
 //! ```text
 //! perf_ledger [--ledger PATH] [--baseline PATH] [--max-regress-pct P]
@@ -98,15 +101,11 @@ fn main() {
 
     let mut failed = false;
     for base in latest_per_harness(&baseline) {
-        let Some(cur) = latest_per_harness(&current)
-            .into_iter()
-            .find(|c| c.harness == base.harness)
-        else {
+        let Some((mut cur, runs)) = ledger::gated_current(&current, &base.harness) else {
             eprintln!("harness {}: no current record", base.harness);
             failed = true;
             continue;
         };
-        let mut cur = cur.clone();
         if inflate != 1.0 {
             // Self-test mode: force the wall comparison on and slow the
             // current record down synthetically.
@@ -114,7 +113,7 @@ fn main() {
             cur.machine = base.machine.clone();
         }
         let d = ledger::diff(base, &cur, max_regress_pct);
-        println!("-- {} --", base.harness);
+        println!("-- {} (wall: median of {runs} runs) --", base.harness);
         for line in &d.lines {
             println!("   {line}");
         }

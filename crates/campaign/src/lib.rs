@@ -60,7 +60,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use specfem_core::{NetworkProfile, RunFailure, RunOptions, Simulation, SimulationResult};
-use specfem_obs::{Track, TrackEvent};
+use specfem_obs::{StatsSnapshot, Track, TrackEvent};
 
 /// Retry behaviour for failed jobs.
 #[derive(Debug, Clone, Copy)]
@@ -764,23 +764,14 @@ fn run_group(shared: &Shared, worker: usize, group: Vec<QueuedJob>) -> Vec<JobOu
         .collect()
 }
 
-/// Fold a finished run's comm counters, per-tag traffic, recv-wait
-/// histogram, and watchdog report into the job's telemetry rollup.
+/// Fold a finished run's comm statistics, summed over its ranks, and its
+/// LTS and watchdog reports into the job's telemetry rollup.
 fn roll_up_result(t: &mut JobTelemetry, res: &SimulationResult) {
+    t.comm = StatsSnapshot::total(res.ranks.iter().map(|r| &r.comm));
     for r in &res.ranks {
-        t.bytes_sent += r.comm.bytes_sent;
-        t.bytes_received += r.comm.bytes_received;
-        t.messages_sent += r.comm.messages_sent;
-        t.collectives += r.comm.collectives;
-        t.merge_tags(&r.comm.per_tag);
         if let Some(lts) = &r.lts {
             t.lts_max_rate = Some(lts.max_rate);
             t.lts_element_steps_saved += lts.element_steps_saved;
-        }
-        if let Some(profile) = &r.profile {
-            if let Some(h) = profile.metrics.histograms.get("comm.recv_wait_ns") {
-                t.recv_wait_ns.get_or_insert_with(Default::default).merge(h);
-            }
         }
     }
     if let Some(wd) = &res.watchdog {
@@ -870,19 +861,38 @@ mod tests {
         assert!(json.contains("\"per_tag\""));
         let first = result.outcomes[0].result.as_ref().unwrap();
         let expect_bytes: u64 = first.ranks.iter().map(|r| r.comm.bytes_sent).sum();
-        assert_eq!(result.outcomes[0].telemetry.bytes_sent, expect_bytes);
+        assert_eq!(result.outcomes[0].telemetry.comm.bytes_sent, expect_bytes);
         let dist = &result.outcomes[5];
         let dist_res = dist.result.as_ref().unwrap();
         let dist_bytes: u64 = dist_res.ranks.iter().map(|r| r.comm.bytes_sent).sum();
         assert!(dist_bytes > 0, "distributed job must move halo bytes");
-        assert_eq!(dist.telemetry.bytes_sent, dist_bytes);
+        assert_eq!(dist.telemetry.comm.bytes_sent, dist_bytes);
         assert!(
-            !dist.telemetry.per_tag.is_empty(),
+            !dist.telemetry.comm.per_tag.is_empty(),
             "per-tag traffic must roll up for distributed jobs"
         );
         let perfetto = result.perfetto_json();
         assert!(perfetto.contains("worker 0"));
         assert!(perfetto.contains("event_0"));
+    }
+
+    #[test]
+    fn untraced_distributed_job_reports_its_recv_wait_histogram() {
+        let mut campaign = Campaign::new(CampaignConfig {
+            workers: 1,
+            ..CampaignConfig::default()
+        });
+        campaign.submit(Job::new("untraced_dist", tiny_sim(4, 5, 0)).distributed());
+        let result = campaign.finish();
+        assert!(result.all_ok(), "{}", result.report.render_text());
+        let outcome = &result.outcomes[0];
+        let res = outcome.result.as_ref().unwrap();
+        assert!(res.ranks.iter().all(|r| r.profile.is_none()), "untraced");
+        let c = &outcome.telemetry.comm;
+        assert!(c.messages_sent > 0);
+        // A clean run waits once on every message it sends.
+        assert_eq!(c.wait_hist.count(), c.messages_sent);
+        assert!(result.report.to_json().contains("\"recv_wait_ns\""));
     }
 
     #[test]

@@ -4,30 +4,19 @@
 //! `specfem_obs::IpmReport`. A merged Perfetto timeline with one track
 //! per worker comes from [`crate::CampaignResult::perfetto_json`].
 
-use specfem_obs::{json_escape, LogHistogram, TagTraffic};
+use specfem_obs::{json_escape, StatsSnapshot};
 
 use crate::cache::CacheStats;
 use crate::JobOutcome;
 
 /// Per-job communication and in-flight health telemetry, rolled up
 /// across the job's ranks (and across retry attempts for the failure
-/// fields). Comm counters are zero for jobs that never produced a
-/// result.
+/// fields).
 #[derive(Debug, Clone, Default)]
 pub struct JobTelemetry {
-    /// Σ bytes sent over the job's ranks.
-    pub bytes_sent: u64,
-    /// Σ bytes received.
-    pub bytes_received: u64,
-    /// Σ point-to-point messages sent.
-    pub messages_sent: u64,
-    /// Σ collective operations entered.
-    pub collectives: u64,
-    /// Sent traffic per message tag, merged across ranks.
-    pub per_tag: Vec<TagTraffic>,
-    /// Distribution of blocking-receive wait times (ns) merged across
-    /// ranks — recorded only on traced runs.
-    pub recv_wait_ns: Option<LogHistogram>,
+    /// The result's comm statistics summed over its ranks (zero for
+    /// jobs that never produced a result).
+    pub comm: StatsSnapshot,
     /// Display of the numerical-health trip that aborted an attempt
     /// (`None` = no trip on any attempt; a retried job can succeed and
     /// still carry the trip that killed its first attempt).
@@ -60,22 +49,6 @@ pub struct JobTelemetry {
     /// (`None` = no attempt failed with the flight recorder armed). Jobs
     /// a fused solve's one incident failed together share one dossier.
     pub dossier: Option<String>,
-}
-
-impl JobTelemetry {
-    /// Merge one rank's sent-traffic tags into the rollup.
-    pub fn merge_tags(&mut self, tags: &[TagTraffic]) {
-        for t in tags {
-            match self.per_tag.iter_mut().find(|p| p.tag == t.tag) {
-                Some(p) => {
-                    p.messages += t.messages;
-                    p.bytes += t.bytes;
-                }
-                None => self.per_tag.push(*t),
-            }
-        }
-        self.per_tag.sort_by_key(|t| t.tag);
-    }
 }
 
 /// One job's row in the report.
@@ -343,7 +316,8 @@ impl CampaignReport {
 /// Render a job's telemetry rollup as `, "comm": {...}` (plus optional
 /// `"health_trip"` / `"watchdog"` members) for embedding in the job row.
 fn telemetry_json(t: &JobTelemetry) -> String {
-    let tags: Vec<String> = t
+    let c = &t.comm;
+    let tags: Vec<String> = c
         .per_tag
         .iter()
         .map(|tag| {
@@ -353,23 +327,25 @@ fn telemetry_json(t: &JobTelemetry) -> String {
             )
         })
         .collect();
-    let recv_wait = match &t.recv_wait_ns {
-        Some(h) => format!(
+    let h = &c.wait_hist;
+    let recv_wait = if h.count() > 0 {
+        format!(
             ", \"recv_wait_ns\": {{\"count\": {}, \"min\": {}, \"max\": {}, \"mean\": {:.1}}}",
             h.count(),
             h.min().unwrap_or(0),
             h.max().unwrap_or(0),
             h.mean()
-        ),
-        None => String::new(),
+        )
+    } else {
+        String::new()
     };
     let mut out = format!(
         ", \"comm\": {{\"bytes_sent\": {}, \"bytes_received\": {}, \"messages_sent\": {}, \
          \"collectives\": {}, \"per_tag\": [{}]{}}}",
-        t.bytes_sent,
-        t.bytes_received,
-        t.messages_sent,
-        t.collectives,
+        c.bytes_sent,
+        c.bytes_received,
+        c.messages_sent,
+        c.collectives,
         tags.join(", "),
         recv_wait
     );

@@ -39,8 +39,8 @@ impl Communicator for SerialComm {
                 size: 1,
             });
         }
-        self.stats.on_send(tag, data.len() * 4);
-        self.stats.on_post(Duration::ZERO);
+        self.stats
+            .on_isend(tag, data.len() * 4, 0.0, Duration::ZERO);
         self.self_queue.push((tag, data));
         Ok(())
     }
@@ -49,7 +49,7 @@ impl Communicator for SerialComm {
         if src != 0 {
             return Err(CommError::InvalidRank { rank: src, size: 1 });
         }
-        self.stats.on_post(Duration::ZERO);
+        self.stats.on_irecv();
         Ok(Request::recv(src, tag))
     }
 
@@ -68,18 +68,18 @@ impl Communicator for SerialComm {
                     waited: Duration::ZERO,
                 })?;
         let (_, data) = self.self_queue.remove(pos);
-        self.stats.on_recv(data.len() * 4);
-        self.stats.on_wait(overlap, Duration::ZERO);
+        self.stats
+            .on_wait(data.len() * 4, 0.0, overlap, Duration::ZERO);
         Ok(data)
     }
 
     fn barrier(&mut self) -> Result<(), CommError> {
-        self.stats.collectives += 1;
+        self.stats.on_collective(0.0, Duration::ZERO);
         Ok(())
     }
 
     fn allreduce(&mut self, x: f64, _op: fn(f64, f64) -> f64) -> Result<f64, CommError> {
-        self.stats.collectives += 1;
+        self.stats.on_collective(0.0, Duration::ZERO);
         Ok(x)
     }
 

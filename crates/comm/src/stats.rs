@@ -1,184 +1,89 @@
 //! Per-rank communication statistics — the IPM analog (paper §5).
+//!
+//! Each [`crate::Communicator`] operation makes exactly one [`CommStats`]
+//! call, which updates the sums and histograms and journals the
+//! operation's flight-recorder event.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
-use specfem_obs::{flight_event, FlightEventKind, LogHistogram, TagTraffic};
+pub use specfem_obs::StatsSnapshot;
+use specfem_obs::{flight_event, FlightEventKind};
 
-/// Mutable accumulator owned by one rank's communicator.
+/// Mutable accumulator owned by one rank's communicator: the counters,
+/// modeled time and histograms kept in snapshot form, and the wall times
+/// summed exactly as [`Duration`]s until a snapshot converts them.
 #[derive(Debug, Default, Clone)]
 pub struct CommStats {
-    /// Bytes sent by this rank.
-    pub bytes_sent: u64,
-    /// Bytes received.
-    pub bytes_received: u64,
-    /// Point-to-point messages sent.
-    pub messages_sent: u64,
-    /// Collective operations entered (barriers + reductions).
-    pub collectives: u64,
-    /// Wall time spent inside communication calls.
-    pub wall_time: Duration,
-    /// Deterministic modeled communication time (seconds) from the
-    /// latency/bandwidth network profile.
-    pub modeled_time_s: f64,
-    /// Non-blocking operations posted (`isend` + `irecv`).
-    pub posts: u64,
-    /// Wall time spent posting non-blocking operations (the cheap part —
-    /// should stay near zero if overlap works).
-    pub post_time: Duration,
-    /// Cumulative overlap window: time between posting a request and
-    /// entering `wait` on it — the computation hidden behind the wire.
-    pub overlap_time: Duration,
-    /// Wall time blocked inside `wait` — the *exposed*
-    /// communication cost an overlapped solver actually pays.
-    pub wait_time: Duration,
-    /// Sent traffic keyed by message tag (see [`crate::tags`]).
-    per_tag: BTreeMap<u32, TagTraffic>,
-    /// Distribution of sent message sizes in bytes — IPM's message-size
-    /// histogram.
-    size_hist: LogHistogram,
+    s: StatsSnapshot,
+    wall_time: Duration,
+    post_time: Duration,
+    overlap_time: Duration,
+    wait_time: Duration,
 }
 
 impl CommStats {
-    /// Record a message of `bytes` bytes sent with `tag`.
-    pub fn on_send(&mut self, tag: u32, bytes: usize) {
+    /// An `isend` of `bytes` bytes with `tag`, charged `modeled_s` of
+    /// network time, that took `elapsed` to post.
+    pub fn on_isend(&mut self, tag: u32, bytes: usize, modeled_s: f64, elapsed: Duration) {
         flight_event(FlightEventKind::CommSend, "", tag as u64, bytes as u64);
-        self.bytes_sent += bytes as u64;
-        self.messages_sent += 1;
-        let t = self.per_tag.entry(tag).or_insert(TagTraffic {
-            tag,
-            messages: 0,
-            bytes: 0,
-        });
-        t.messages += 1;
-        t.bytes += bytes as u64;
-        self.size_hist.record(bytes as u64);
+        let s = &mut self.s;
+        s.bytes_sent += bytes as u64;
+        s.messages_sent += 1;
+        s.add_tag_traffic(tag, 1, bytes as u64);
+        s.size_hist.record(bytes as u64);
+        s.modeled_time_s += modeled_s;
+        s.posts += 1;
+        self.post_time += elapsed;
+        self.wall_time += elapsed;
     }
 
-    /// Record a received message.
-    pub fn on_recv(&mut self, bytes: usize) {
+    /// An `irecv` posted (posting a receive costs nothing to time).
+    pub fn on_irecv(&mut self) {
+        self.s.posts += 1;
+    }
+
+    /// A completed `wait` that received `bytes` bytes, charged
+    /// `modeled_s`: `overlap` is the window between post and `wait`
+    /// entry, `blocked` the time spent inside `wait` itself.
+    pub fn on_wait(&mut self, bytes: usize, modeled_s: f64, overlap: Duration, blocked: Duration) {
+        let blocked_ns = blocked.as_nanos() as u64;
         flight_event(FlightEventKind::CommRecv, "", 0, bytes as u64);
-        self.bytes_received += bytes as u64;
-    }
-
-    /// Record wall time spent in a communication call.
-    pub fn on_wall(&mut self, d: Duration) {
-        self.wall_time += d;
-    }
-
-    /// Record modeled network time.
-    pub fn on_modeled(&mut self, seconds: f64) {
-        self.modeled_time_s += seconds;
-    }
-
-    /// Record the posting of a non-blocking operation.
-    pub fn on_post(&mut self, d: Duration) {
-        self.posts += 1;
-        self.post_time += d;
-    }
-
-    /// Record the completion of a waited request: `overlap` is the window
-    /// between post and `wait` entry, `blocked` the time spent inside
-    /// `wait` itself.
-    pub fn on_wait(&mut self, overlap: Duration, blocked: Duration) {
         flight_event(
             FlightEventKind::CommWait,
             "",
             overlap.as_nanos() as u64,
-            blocked.as_nanos() as u64,
+            blocked_ns,
         );
+        self.s.bytes_received += bytes as u64;
+        self.s.modeled_time_s += modeled_s;
+        self.s.wait_hist.record(blocked_ns);
+        self.wall_time += blocked;
         self.overlap_time += overlap;
         self.wait_time += blocked;
+    }
+
+    /// A completed collective (barrier or reduction), charged
+    /// `modeled_s`, that took `elapsed`.
+    pub fn on_collective(&mut self, modeled_s: f64, elapsed: Duration) {
+        self.s.collectives += 1;
+        self.s.modeled_time_s += modeled_s;
+        self.wall_time += elapsed;
     }
 
     /// Snapshot for reporting.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            bytes_sent: self.bytes_sent,
-            bytes_received: self.bytes_received,
-            messages_sent: self.messages_sent,
-            collectives: self.collectives,
             wall_time_s: self.wall_time.as_secs_f64(),
-            modeled_time_s: self.modeled_time_s,
-            posts: self.posts,
             post_time_s: self.post_time.as_secs_f64(),
             overlap_time_s: self.overlap_time.as_secs_f64(),
             wait_time_s: self.wait_time.as_secs_f64(),
-            per_tag: self.per_tag.values().copied().collect(),
-            size_hist: self.size_hist.clone(),
+            ..self.s.clone()
         }
     }
 
     /// Zero all counters.
     pub fn reset(&mut self) {
         *self = Self::default();
-    }
-}
-
-/// Immutable copy of one rank's statistics.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StatsSnapshot {
-    pub bytes_sent: u64,
-    pub bytes_received: u64,
-    pub messages_sent: u64,
-    pub collectives: u64,
-    pub wall_time_s: f64,
-    pub modeled_time_s: f64,
-    /// Non-blocking operations posted.
-    pub posts: u64,
-    /// Seconds spent posting non-blocking operations.
-    pub post_time_s: f64,
-    /// Cumulative post→wait overlap window (seconds).
-    pub overlap_time_s: f64,
-    /// Seconds blocked inside `wait`.
-    pub wait_time_s: f64,
-    /// Sent traffic per message tag, ascending tag order.
-    pub per_tag: Vec<TagTraffic>,
-    /// Sent message-size distribution (log₂ buckets).
-    pub size_hist: LogHistogram,
-}
-
-impl StatsSnapshot {
-    /// Sent traffic for one message tag as `(messages, bytes)` — `(0, 0)`
-    /// when the tag never appeared. Saves every per-tag assertion in the
-    /// oracle suites from re-walking `per_tag` by hand.
-    pub fn tag_traffic(&self, tag: u32) -> (u64, u64) {
-        self.per_tag
-            .iter()
-            .find(|t| t.tag == tag)
-            .map(|t| (t.messages, t.bytes))
-            .unwrap_or((0, 0))
-    }
-
-    /// Aggregate snapshots from all ranks into "total for all cores" form —
-    /// the quantity Figures 6/7 of the paper plot.
-    pub fn total(all: &[StatsSnapshot]) -> StatsSnapshot {
-        let mut out = StatsSnapshot::default();
-        let mut tags: BTreeMap<u32, TagTraffic> = BTreeMap::new();
-        for s in all {
-            out.bytes_sent += s.bytes_sent;
-            out.bytes_received += s.bytes_received;
-            out.messages_sent += s.messages_sent;
-            out.collectives += s.collectives;
-            out.wall_time_s += s.wall_time_s;
-            out.modeled_time_s += s.modeled_time_s;
-            out.posts += s.posts;
-            out.post_time_s += s.post_time_s;
-            out.overlap_time_s += s.overlap_time_s;
-            out.wait_time_s += s.wait_time_s;
-            for t in &s.per_tag {
-                let e = tags.entry(t.tag).or_insert(TagTraffic {
-                    tag: t.tag,
-                    messages: 0,
-                    bytes: 0,
-                });
-                e.messages += t.messages;
-                e.bytes += t.bytes;
-            }
-            out.size_hist.merge(&s.size_hist);
-        }
-        out.per_tag = tags.into_values().collect();
-        out
     }
 }
 
@@ -189,11 +94,9 @@ mod tests {
     #[test]
     fn accumulates_and_resets() {
         let mut s = CommStats::default();
-        s.on_send(100, 100);
-        s.on_send(101, 50);
-        s.on_recv(100);
-        s.on_wall(Duration::from_millis(5));
-        s.on_modeled(1.5e-6);
+        s.on_isend(100, 100, 0.0, Duration::ZERO);
+        s.on_isend(101, 50, 0.0, Duration::ZERO);
+        s.on_wait(100, 1.5e-6, Duration::ZERO, Duration::from_millis(5));
         let snap = s.snapshot();
         assert_eq!(snap.bytes_sent, 150);
         assert_eq!(snap.messages_sent, 2);
@@ -207,9 +110,9 @@ mod tests {
     #[test]
     fn tracks_nonblocking_phases() {
         let mut s = CommStats::default();
-        s.on_post(Duration::from_micros(3));
-        s.on_post(Duration::from_micros(2));
-        s.on_wait(Duration::from_millis(4), Duration::from_millis(1));
+        s.on_isend(100, 0, 0.0, Duration::from_micros(3));
+        s.on_isend(100, 0, 0.0, Duration::from_micros(2));
+        s.on_wait(0, 0.0, Duration::from_millis(4), Duration::from_millis(1));
         let snap = s.snapshot();
         assert_eq!(snap.posts, 2);
         assert!(snap.post_time_s >= 5e-6);
@@ -225,9 +128,9 @@ mod tests {
     #[test]
     fn tracks_per_tag_and_size_distribution() {
         let mut s = CommStats::default();
-        s.on_send(100, 4096);
-        s.on_send(100, 4096);
-        s.on_send(200, 8);
+        s.on_isend(100, 4096, 0.0, Duration::ZERO);
+        s.on_isend(100, 4096, 0.0, Duration::ZERO);
+        s.on_isend(200, 8, 0.0, Duration::ZERO);
         let snap = s.snapshot();
         assert_eq!(snap.per_tag.len(), 2);
         assert_eq!(snap.per_tag[0].tag, 100);
@@ -249,9 +152,8 @@ mod tests {
     fn comm_edges_are_journaled_when_flight_armed() {
         specfem_obs::flight_arm(0, 64);
         let mut s = CommStats::default();
-        s.on_send(100, 4096);
-        s.on_recv(128);
-        s.on_wait(Duration::from_micros(2), Duration::from_micros(1));
+        s.on_isend(100, 4096, 0.0, Duration::ZERO);
+        s.on_wait(128, 0.0, Duration::from_micros(2), Duration::from_micros(1));
         let j = specfem_obs::flight_harvest().unwrap();
         let kinds: Vec<_> = j.events.iter().map(|e| e.kind).collect();
         assert_eq!(
@@ -292,15 +194,27 @@ mod tests {
     #[test]
     fn total_merges_tags_and_histograms() {
         let mut s1 = CommStats::default();
-        s1.on_send(100, 64);
-        s1.on_send(200, 8);
+        s1.on_isend(100, 64, 0.0, Duration::ZERO);
+        s1.on_isend(200, 8, 0.0, Duration::ZERO);
         let mut s2 = CommStats::default();
-        s2.on_send(100, 64);
+        s2.on_isend(100, 64, 0.0, Duration::ZERO);
         let t = StatsSnapshot::total(&[s1.snapshot(), s2.snapshot()]);
         assert_eq!(t.per_tag.len(), 2);
         assert_eq!(t.per_tag[0].tag, 100);
         assert_eq!(t.per_tag[0].messages, 2);
         assert_eq!(t.per_tag[0].bytes, 128);
         assert_eq!(t.size_hist.count(), 3);
+    }
+
+    #[test]
+    fn wait_histogram_records_each_blocked_wait() {
+        let mut s = CommStats::default();
+        s.on_wait(8, 0.0, Duration::ZERO, Duration::from_nanos(1500));
+        s.on_wait(8, 0.0, Duration::ZERO, Duration::from_nanos(3000));
+        let snap = s.snapshot();
+        assert_eq!(snap.wait_hist.count(), 2);
+        assert_eq!(snap.wait_hist.sum(), 4500);
+        let t = StatsSnapshot::total(&[snap.clone(), snap]);
+        assert_eq!(t.wait_hist.count(), 4);
     }
 }

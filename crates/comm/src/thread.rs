@@ -315,11 +315,8 @@ impl Communicator for ThreadComm {
         let t0 = Instant::now();
         let bytes = data.len() * 4;
         self.send_raw(dest, tag, Payload::F32(data))?;
-        self.stats.on_send(tag, bytes);
-        self.stats.on_modeled(self.profile.message_time(bytes));
-        let elapsed = t0.elapsed();
-        self.stats.on_post(elapsed);
-        self.stats.on_wall(elapsed);
+        let modeled = self.profile.message_time(bytes);
+        self.stats.on_isend(tag, bytes, modeled, t0.elapsed());
         Ok(())
     }
 
@@ -330,7 +327,7 @@ impl Communicator for ThreadComm {
                 size: self.size,
             });
         }
-        self.stats.on_post(Duration::ZERO);
+        self.stats.on_irecv();
         Ok(Request::recv(src, tag))
     }
 
@@ -342,12 +339,8 @@ impl Communicator for ThreadComm {
         let msg = self.recv_message(src, tag)?;
         let blocked = t0.elapsed();
         let bytes = msg.len_bytes();
-        self.stats.on_recv(bytes);
-        self.stats.on_modeled(self.profile.message_time(bytes));
-        self.stats.on_wall(blocked);
-        self.stats.on_wait(overlap, blocked);
-        specfem_obs::hist_record("comm.overlap_window_ns", overlap.as_nanos() as u64);
-        specfem_obs::hist_record("comm.recv_wait_ns", blocked.as_nanos() as u64);
+        let modeled = self.profile.message_time(bytes);
+        self.stats.on_wait(bytes, modeled, overlap, blocked);
         match msg.payload {
             Payload::F32(v) => Ok(v),
             _ => Err(CommError::PayloadType { src, tag }),
@@ -360,9 +353,6 @@ impl Communicator for ThreadComm {
         // naming the missing peer instead of an infinite hang.
         let _span = specfem_obs::span("comm.barrier");
         let t0 = Instant::now();
-        self.stats.collectives += 1;
-        self.stats
-            .on_modeled(self.profile.collective_time(self.size, 0));
         if self.size > 1 {
             if self.rank == 0 {
                 for src in 1..self.size {
@@ -376,17 +366,14 @@ impl Communicator for ThreadComm {
                 self.recv_message(0, tags::BARRIER)?;
             }
         }
-        self.stats.on_wall(t0.elapsed());
+        let modeled = self.profile.collective_time(self.size, 0);
+        self.stats.on_collective(modeled, t0.elapsed());
         Ok(())
     }
 
     fn allreduce(&mut self, x: f64, op: fn(f64, f64) -> f64) -> Result<f64, CommError> {
         let _span = specfem_obs::span("comm.allreduce");
         let t0 = Instant::now();
-        self.stats.collectives += 1;
-        // One f64 travels per hop of the reduction tree.
-        self.stats
-            .on_modeled(self.profile.collective_time(self.size, 8));
         let result = if self.size == 1 {
             x
         } else if self.rank == 0 {
@@ -422,7 +409,9 @@ impl Communicator for ThreadComm {
                 }
             }
         };
-        self.stats.on_wall(t0.elapsed());
+        // One f64 travels per hop of the reduction tree.
+        let modeled = self.profile.collective_time(self.size, 8);
+        self.stats.on_collective(modeled, t0.elapsed());
         Ok(result)
     }
 

@@ -267,14 +267,7 @@ impl SimulationResult {
             .map(|r| obs::IpmRankInput {
                 rank: r.rank,
                 elapsed_s: r.elapsed_s,
-                comm_wall_s: r.comm.wall_time_s,
-                modeled_comm_s: r.comm.modeled_time_s,
-                bytes_sent: r.comm.bytes_sent,
-                bytes_received: r.comm.bytes_received,
-                messages_sent: r.comm.messages_sent,
-                collectives: r.comm.collectives,
-                per_tag: r.comm.per_tag.clone(),
-                size_hist: r.comm.size_hist.clone(),
+                comm: r.comm.clone(),
                 phase_seconds: r
                     .profile
                     .as_ref()

@@ -198,8 +198,9 @@ fn encode_records(records: &[(String, Vec<[f32; 3]>)]) -> Vec<u8> {
 
 fn decode_records(buf: &[u8], file: &str) -> Result<StationRecords, ArtifactError> {
     let mut r = ByteReader::new(buf, file, "records");
-    let count = r.u32()? as usize;
-    let mut out = Vec::with_capacity(count);
+    let count = r.u32()?;
+    // name length, sample count
+    let mut out = Vec::with_capacity(r.capacity_for(u64::from(count), 2 + 8));
     for _ in 0..count {
         let name_len = u16::from_le_bytes(r.take(2)?.try_into().unwrap()) as usize;
         let name = String::from_utf8(r.take(name_len)?.to_vec())
@@ -402,8 +403,8 @@ pub fn load_global(path: &Path) -> Result<GlobalCheckpoint, ArtifactError> {
     let energy = {
         let buf = r.chunk("energy")?;
         let mut er = ByteReader::new(&buf, &file, "energy");
-        let n = er.u64()? as usize;
-        let mut out = Vec::with_capacity(n);
+        let n = er.u64()?;
+        let mut out = Vec::with_capacity(er.capacity_for(n, 8 + 8 + 8));
         for _ in 0..n {
             out.push((er.u64()? as usize, er.f64()?, er.f64()?));
         }

@@ -231,9 +231,18 @@ impl<'a> ByteReader<'a> {
         Ok(())
     }
 
+    /// A capacity for `count` items read from the buffer, capped at the
+    /// bytes left divided by `min_item_bytes` (the smallest encoded
+    /// item), so a lying count cannot size an allocation: the decode loop
+    /// then fails on the first missing byte instead.
+    pub fn capacity_for(&self, count: u64, min_item_bytes: usize) -> usize {
+        let fits = (self.buf.len() - self.pos) / min_item_bytes.max(1);
+        count.min(fits as u64) as usize
+    }
+
     /// Take `n` raw bytes.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], ArtifactError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(self.format_err(format!(
                 "truncated: need {n} bytes at offset {}, have {}",
                 self.pos,
@@ -533,8 +542,9 @@ impl<R: Read + Seek> ContainerReader<R> {
             });
         }
         let mut br = ByteReader::new(&dir_bytes, &file, "directory");
-        let count = br.u32()? as usize;
-        let mut dir = Vec::with_capacity(count);
+        let count = br.u32()?;
+        // name length, offset, length, CRC
+        let mut dir = Vec::with_capacity(br.capacity_for(u64::from(count), 2 + 8 + 8 + 4));
         for _ in 0..count {
             let name_len = u16::from_le_bytes(br.take(2)?.try_into().unwrap()) as usize;
             let name = String::from_utf8(br.take(name_len)?.to_vec())
@@ -542,7 +552,8 @@ impl<R: Read + Seek> ContainerReader<R> {
             let offset = br.u64()?;
             let len = br.u64()?;
             let crc = br.u32()?;
-            if offset < HEADER_LEN || offset + len > dir_offset {
+            let end = offset.checked_add(len);
+            if offset < HEADER_LEN || end.is_none_or(|end| end > dir_offset) {
                 return Err(br.format_err(format!("chunk '{name}' extent out of range")));
             }
             dir.push(DirEntry {

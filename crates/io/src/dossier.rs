@@ -186,8 +186,9 @@ fn decode_journal(bytes: &[u8], file: &str, chunk: &str) -> Result<DossierJourna
     let rank = r.u64()?;
     let capacity = r.u64()?;
     let dropped = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut events = Vec::with_capacity(n);
+    let n = r.u32()?;
+    // t_ns, step, kind, a, b, label length
+    let mut events = Vec::with_capacity(r.capacity_for(u64::from(n), 8 + 8 + 1 + 8 + 8 + 4));
     for _ in 0..n {
         events.push(DossierEvent {
             t_ns: r.u64()?,
@@ -249,6 +250,13 @@ pub fn read_crash_dossier(path: &Path) -> Result<CrashDossier, ArtifactError> {
         return Err(ArtifactError::Format {
             file: r.file().to_string(),
             detail: format!("not a crash dossier (kind {:?})", r.kind()),
+        });
+    }
+    if r.payload_version() != DOSSIER_PAYLOAD_VERSION {
+        return Err(ArtifactError::Version {
+            file: r.file().to_string(),
+            found: r.payload_version(),
+            supported: DOSSIER_PAYLOAD_VERSION,
         });
     }
     let file = r.file().to_string();

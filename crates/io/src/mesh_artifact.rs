@@ -318,8 +318,9 @@ fn read_mesh<R: std::io::Read + std::io::Seek>(
 
     let layers_buf = r.chunk("layers")?;
     let mut lr = ByteReader::new(&layers_buf, &file, "layers");
-    let nshells = lr.u64()? as usize;
-    let mut shells = Vec::with_capacity(nshells);
+    let nshells = lr.u64()?;
+    // r_in, r_out, region tag, layer count
+    let mut shells = Vec::with_capacity(lr.capacity_for(nshells, 8 + 8 + 1 + 8));
     for _ in 0..nshells {
         let r_in = lr.f64()?;
         let r_out = lr.f64()?;

@@ -124,7 +124,7 @@ fn read_result<R: std::io::Read + std::io::Seek>(
     let meta = r.chunk("meta")?;
     let mut m = ByteReader::new(&meta, &file, "meta");
     let key = m.u64()?;
-    let nrec = m.u64()? as usize;
+    let nrec = m.u64()?;
     let element_steps = m.u64()?;
     m.finished()?;
     if key != expect_key.0 {
@@ -137,7 +137,8 @@ fn read_result<R: std::io::Read + std::io::Seek>(
 
     let stations_buf = r.chunk("stations")?;
     let mut sr = ByteReader::new(&stations_buf, &file, "stations");
-    let mut headers = Vec::with_capacity(nrec);
+    // name length, dt, sample count
+    let mut headers = Vec::with_capacity(sr.capacity_for(nrec, 8 + 8 + 8));
     for _ in 0..nrec {
         let name_len = sr.u64()? as usize;
         let name_bytes = sr.take(name_len)?;
@@ -153,7 +154,7 @@ fn read_result<R: std::io::Read + std::io::Seek>(
         sum.saturating_add(n.saturating_mul(3))
     });
     let flat = r.chunk_le("data", total, f32::from_le_bytes)?;
-    let mut seismograms = Vec::with_capacity(nrec);
+    let mut seismograms = Vec::with_capacity(headers.len());
     let mut off = 0usize;
     for (station, dt, nsamp) in headers {
         let data: Vec<[f32; 3]> = flat[off..off + nsamp * 3]

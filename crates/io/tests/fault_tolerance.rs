@@ -1,16 +1,28 @@
 //! Property tests of the durable checkpoint format — the merged `.sfcc`
 //! container written through [`CheckpointStore`]: arbitrary states survive
 //! write → restore bit for bit on any decomposition, and no single damaged
-//! byte ever comes back as a restored state.
+//! byte ever comes back as a restored state. Plus every container decoder
+//! facing a CRC-valid artifact that lies: a count of `u32::MAX`/`u64::MAX`
+//! items or a chunk extent past `u64::MAX` is a typed error, never an
+//! allocation sized by the lie.
 
 use std::fs;
+use std::io::Cursor;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use specfem_io::CheckpointStore;
+use specfem_io::checkpoint::load_global;
+use specfem_io::container::{crc32, put_u32, put_u64, CONTAINER_MAGIC, CONTAINER_SCHEMA_VERSION};
+use specfem_io::dossier::DOSSIER_PAYLOAD_VERSION;
+use specfem_io::result_cache::{decode_result, encode_result};
+use specfem_io::{
+    decode_mesh, encode_mesh, read_crash_dossier, write_crash_dossier, ArtifactError, CachedResult,
+    CheckpointStore, ContainerReader, ContainerWriter, DossierIncident, ResultKey,
+};
 use specfem_mesh::{GlobalMesh, LocalMesh, MeshParams, Partition};
 use specfem_model::Prem;
-use specfem_solver::CheckpointState;
+use specfem_obs::FlightJournal;
+use specfem_solver::{CheckpointState, Seismogram};
 
 fn gm() -> &'static GlobalMesh {
     static MESH: OnceLock<GlobalMesh> = OnceLock::new();
@@ -191,4 +203,144 @@ proptest! {
         }
         let _ = fs::remove_dir_all(store.dir());
     }
+}
+
+/// `bytes` re-sealed with chunk `name` replaced by `payload` and the
+/// payload version raised by `bump`: every CRC is valid, whatever the
+/// chunk now claims.
+fn reseal(bytes: &[u8], bump: u32, name: &str, payload: &[u8]) -> Vec<u8> {
+    let mut r = ContainerReader::new(Cursor::new(bytes), "lying").unwrap();
+    let version = r.payload_version() + bump;
+    let mut w = ContainerWriter::new(Cursor::new(Vec::new()), "lying", r.kind(), version).unwrap();
+    for chunk in r.chunk_names() {
+        let kept = r.chunk(&chunk).unwrap();
+        w.chunk(&chunk, if chunk == name { payload } else { &kept })
+            .unwrap();
+    }
+    w.finish().unwrap().0.into_inner()
+}
+
+fn assert_format_error<T: std::fmt::Debug>(what: &str, r: Result<T, ArtifactError>) {
+    match r {
+        Err(ArtifactError::Format { .. }) => {}
+        other => panic!("{what}: expected a format error, got {other:?}"),
+    }
+}
+
+/// A container whose one directory entry reads `(name, offset, len)`
+/// over `body`, behind a directory CRC recomputed to match.
+fn hand_built(body: &[u8], count: u32, offset: u64, len: u64) -> Vec<u8> {
+    let mut out = CONTAINER_MAGIC.to_vec();
+    put_u32(&mut out, CONTAINER_SCHEMA_VERSION);
+    out.extend_from_slice(b"TEST");
+    put_u32(&mut out, 1);
+    out.extend_from_slice(body);
+    let dir_offset = out.len() as u64;
+    let mut dir = Vec::new();
+    put_u32(&mut dir, count);
+    dir.extend_from_slice(&1u16.to_le_bytes());
+    dir.push(b'x');
+    put_u64(&mut dir, offset);
+    put_u64(&mut dir, len);
+    put_u32(&mut dir, crc32(body));
+    out.extend_from_slice(&dir);
+    put_u32(&mut out, crc32(&dir));
+    put_u64(&mut out, dir_offset);
+    out.extend_from_slice(&CONTAINER_MAGIC);
+    out
+}
+
+#[test]
+fn container_directory_that_lies_is_a_format_error() {
+    let open = |bytes: Vec<u8>| ContainerReader::new(Cursor::new(bytes), "hand-built");
+    let mut honest = open(hand_built(b"abc", 1, 16, 3)).unwrap();
+    assert_eq!(honest.chunk("x").unwrap(), b"abc");
+    // offset + len wraps past u64::MAX to 0, inside the file.
+    assert_format_error(
+        "wrapping extent",
+        open(hand_built(b"abc", 1, 16, 0u64.wrapping_sub(16))),
+    );
+    assert_format_error("entry count", open(hand_built(b"abc", u32::MAX, 16, 3)));
+}
+
+#[test]
+fn checkpoint_record_and_energy_counts_that_lie_are_format_errors() {
+    let (_, newer) = pristine();
+    let path = std::env::temp_dir().join(format!("specfem_io_lying_{}.sfcc", std::process::id()));
+    let mut records = Vec::new();
+    put_u32(&mut records, u32::MAX);
+    let mut energy = Vec::new();
+    put_u64(&mut energy, u64::MAX);
+    for (name, payload) in [("records", records), ("energy", energy)] {
+        fs::write(&path, reseal(newer, 0, name, &payload)).unwrap();
+        assert_format_error(name, load_global(&path));
+    }
+    let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn mesh_layer_count_that_lies_is_a_format_error() {
+    let valid = encode_mesh(gm(), 7);
+    let mut layers = Vec::new();
+    put_u64(&mut layers, u64::MAX);
+    assert_format_error(
+        "layers",
+        decode_mesh(&reseal(&valid, 0, "layers", &layers), Some(7)),
+    );
+}
+
+#[test]
+fn result_record_count_that_lies_is_a_format_error() {
+    let key = ResultKey(0x1234);
+    let result = CachedResult {
+        seismograms: vec![Seismogram {
+            station: "ST".into(),
+            dt: 0.5,
+            data: vec![[1.0, 2.0, 3.0]; 4],
+        }],
+        element_steps: 10,
+    };
+    let valid = encode_result(key, &result);
+    let mut meta = Vec::new();
+    put_u64(&mut meta, key.0);
+    put_u64(&mut meta, u64::MAX);
+    put_u64(&mut meta, 10);
+    assert_format_error(
+        "nrec",
+        decode_result(&reseal(&valid, 0, "meta", &meta), key),
+    );
+}
+
+#[test]
+fn dossier_journal_count_and_newer_version_are_typed_errors() {
+    let dir = std::env::temp_dir().join(format!("specfem_io_lying_dossier_{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let incident = DossierIncident {
+        class: "health".into(),
+        detail: "lying journal".into(),
+        rank: Some(0),
+        step: None,
+        trace_id: None,
+        world: 1,
+    };
+    let journal = FlightJournal {
+        capacity: 16,
+        ..Default::default()
+    };
+    let path = write_crash_dossier(&dir, &incident, &[journal]).unwrap();
+    let valid = fs::read(&path).unwrap();
+    let mut lying = Vec::new();
+    for v in [0, 16, 0] {
+        put_u64(&mut lying, v); // rank, capacity, dropped
+    }
+    put_u32(&mut lying, u32::MAX);
+    fs::write(&path, reseal(&valid, 0, "journal_0", &lying)).unwrap();
+    assert_format_error("journal", read_crash_dossier(&path));
+
+    fs::write(&path, reseal(&valid, 1, "no such chunk", &[])).unwrap();
+    match read_crash_dossier(&path) {
+        Err(ArtifactError::Version { found, .. }) => assert_eq!(found, DOSSIER_PAYLOAD_VERSION + 1),
+        other => panic!("expected a version error, got {other:?}"),
+    }
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -3,18 +3,15 @@
 //! samples, checkpoint/restore marks) kept so that when a rank dies the
 //! last moments before the failure survive for the crash dossier.
 //!
-//! Mirrors the span tracer's threading contract: state is thread-local,
-//! armed per rank thread with [`flight_arm`] and harvested with
-//! [`flight_harvest`]. A disarmed thread pays one relaxed atomic load
-//! per would-be event — the same zero-cost-when-disabled discipline the
-//! hot kernels already rely on, which is what keeps an armed recorder
-//! bit-transparent to the physics (it only ever *reads* metadata, never
-//! field values).
+//! The journal lives in the same thread-local recorder as the span
+//! tracer, armed per rank thread with [`flight_arm`] and harvested with
+//! [`flight_harvest`]. A thread with nothing armed pays one relaxed
+//! atomic load per would-be event — the same zero-cost-when-disabled
+//! discipline the hot kernels already rely on, which is what keeps an
+//! armed recorder bit-transparent to the physics (it only ever *reads*
+//! metadata, never field values).
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crate::now_ns;
+use crate::{now_ns, rearm, with_recorder, Ring};
 
 /// What a journal entry records. Discriminants are stable — they are the
 /// on-disk codes inside crash-dossier containers.
@@ -107,65 +104,44 @@ pub struct FlightJournal {
     pub events: Vec<FlightEvent>,
 }
 
-struct FlightRing {
+/// One rank's armed journal: the event ring and the step stamped onto
+/// each event.
+pub(crate) struct Journal {
     rank: usize,
-    capacity: usize,
-    buf: Vec<FlightEvent>,
-    /// Index of the oldest event once the ring has wrapped.
-    head: usize,
-    dropped: u64,
+    events: Ring<FlightEvent>,
     step: u64,
 }
 
-impl FlightRing {
-    fn push(&mut self, e: FlightEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(e);
-        } else {
-            self.buf[self.head] = e;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
+impl Journal {
+    pub(crate) fn push(
+        &mut self,
+        t_ns: u64,
+        kind: FlightEventKind,
+        label: &'static str,
+        a: u64,
+        b: u64,
+    ) {
+        self.events.push(FlightEvent {
+            t_ns,
+            step: self.step,
+            kind,
+            a,
+            b,
+            label,
+        });
     }
-
-    fn finish(mut self) -> FlightJournal {
-        self.buf.rotate_left(self.head);
-        FlightJournal {
-            rank: self.rank,
-            capacity: self.capacity,
-            dropped: self.dropped,
-            events: self.buf,
-        }
-    }
-}
-
-/// Number of threads with an armed journal — the global fast-path gate.
-/// A relaxed load of this is the entire cost of a would-be event on a
-/// disarmed run.
-static ACTIVE_FLIGHT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static FLIGHT: RefCell<Option<FlightRing>> = const { RefCell::new(None) };
 }
 
 /// Arm the flight recorder on the current thread as `rank` with a ring
 /// of `capacity` events (clamped to at least 16). A second call replaces
 /// the previous journal, discarding it.
 pub fn flight_arm(rank: usize, capacity: usize) {
-    let _ = now_ns(); // pin the shared epoch before the first event
-    FLIGHT.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        if slot.is_none() {
-            ACTIVE_FLIGHT.fetch_add(1, Ordering::Relaxed);
-        }
-        *slot = Some(FlightRing {
+    rearm(|r| {
+        r.journal = Some(Journal {
             rank,
-            capacity: capacity.max(16),
-            buf: Vec::new(),
-            head: 0,
-            dropped: 0,
+            events: Ring::new(capacity.max(16)),
             step: 0,
-        });
+        })
     });
 }
 
@@ -173,87 +149,39 @@ pub fn flight_arm(rank: usize, capacity: usize) {
 /// [`flight_arm`] was never called — the disabled path), so callers can
 /// harvest unconditionally on both success and failure exits.
 pub fn flight_harvest() -> Option<FlightJournal> {
-    FLIGHT.with(|slot| {
-        let taken = slot.borrow_mut().take();
-        taken.map(|ring| {
-            ACTIVE_FLIGHT.fetch_sub(1, Ordering::Relaxed);
-            ring.finish()
-        })
+    rearm(|r| r.journal.take()).map(|j| {
+        let capacity = j.events.capacity();
+        let (events, dropped) = j.events.into_parts();
+        FlightJournal {
+            rank: j.rank,
+            capacity,
+            dropped,
+            events,
+        }
     })
-}
-
-/// Whether *any* thread currently has an armed journal (the cheap global
-/// gate; thread-locality is resolved inside the recording calls).
-#[inline]
-pub(crate) fn any_armed() -> bool {
-    ACTIVE_FLIGHT.load(Ordering::Relaxed) != 0
 }
 
 /// Whether the current thread has an armed journal.
 pub fn flight_active() -> bool {
-    if !any_armed() {
-        return false;
-    }
-    FLIGHT.with(|slot| slot.borrow().is_some())
+    with_recorder(|r| r.journal.is_some()).unwrap_or(false)
 }
 
 #[inline]
-fn with_ring(f: impl FnOnce(&mut FlightRing)) {
-    if !any_armed() {
-        return;
-    }
-    FLIGHT.with(|slot| {
-        if let Some(ring) = slot.borrow_mut().as_mut() {
-            f(ring);
-        }
-    });
+fn with_journal(f: impl FnOnce(&mut Journal)) {
+    with_recorder(|r| r.journal.as_mut().map(f));
 }
 
 /// Update the step counter stamped onto subsequent events (no-op when
 /// disarmed — one relaxed atomic load).
 #[inline]
 pub fn flight_set_step(step: u64) {
-    with_ring(|r| r.step = step);
-}
-
-/// Journal one event at an explicit timestamp — used by the span layer,
-/// which measures its own enter/exit instants so the exit's recorded
-/// duration exactly equals the journaled timestamp delta.
-#[inline]
-pub(crate) fn flight_event_at(
-    t_ns: u64,
-    kind: FlightEventKind,
-    label: &'static str,
-    a: u64,
-    b: u64,
-) {
-    with_ring(|r| {
-        let e = FlightEvent {
-            t_ns,
-            step: r.step,
-            kind,
-            a,
-            b,
-            label,
-        };
-        r.push(e);
-    });
+    with_journal(|j| j.step = step);
 }
 
 /// Journal one event (no-op when disarmed — one relaxed atomic load).
 #[inline]
 pub fn flight_event(kind: FlightEventKind, label: &'static str, a: u64, b: u64) {
-    with_ring(|r| {
-        let e = FlightEvent {
-            t_ns: now_ns(),
-            step: r.step,
-            kind,
-            a,
-            b,
-            label,
-        };
-        r.push(e);
-    });
+    with_journal(|j| j.push(now_ns(), kind, label, a, b));
 }
 
 #[cfg(test)]

@@ -122,10 +122,10 @@ impl LedgerRecord {
             wall_s: report.wall_max_s,
             comm_fraction: report.comm_fraction_mean,
             imbalance,
-            bytes_sent: report.total_bytes_sent,
-            bytes_received: report.total_bytes_received,
-            messages: report.total_messages,
-            collectives: report.total_collectives,
+            bytes_sent: report.totals.bytes_sent,
+            bytes_received: report.totals.bytes_received,
+            messages: report.totals.messages_sent,
+            collectives: report.totals.collectives,
             element_steps,
             phases: report
                 .phases
@@ -407,6 +407,28 @@ pub fn diff(baseline: &LedgerRecord, current: &LedgerRecord, max_regress_pct: f6
         baseline.comm_fraction, current.comm_fraction
     ));
     d
+}
+
+/// Runs whose median wall time the gate compares: each committed
+/// baseline is itself the median of this many runs.
+pub const GATED_RUNS: usize = 3;
+
+/// `harness`'s newest record in `records`, with its wall time replaced by
+/// the median over the harness's last [`GATED_RUNS`] records, and how
+/// many records that median covers. Counters stay the newest record's.
+pub fn gated_current(records: &[LedgerRecord], harness: &str) -> Option<(LedgerRecord, usize)> {
+    let runs: Vec<&LedgerRecord> = records.iter().filter(|r| r.harness == harness).collect();
+    let recent = &runs[runs.len().saturating_sub(GATED_RUNS)..];
+    let mut latest = (*recent.last()?).clone();
+    let mut walls: Vec<f64> = recent.iter().map(|r| r.wall_s).collect();
+    walls.sort_by(f64::total_cmp);
+    let mid = walls.len() / 2;
+    latest.wall_s = if walls.len() % 2 == 1 {
+        walls[mid]
+    } else {
+        0.5 * (walls[mid - 1] + walls[mid])
+    };
+    Some((latest, walls.len()))
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@ pub use health::{HealthMonitor, HealthReport, HealthTrip};
 pub use ledger::{LedgerDiff, LedgerMachine, LedgerPhase, LedgerRecord, LEDGER_SCHEMA_VERSION};
 pub use metrics::{LogHistogram, MetricName, MetricsRegistry, MetricsSnapshot};
 pub use perfetto::{perfetto_json, perfetto_tracks, Track, TrackEvent};
-pub use report::{IpmRankInput, IpmReport, PhaseRow, RankRow, TagTraffic};
+pub use report::{IpmRankInput, IpmReport, PhaseRow, RankRow, StatsSnapshot, TagTraffic};
 pub use span::{RankTrace, Span, SpanEvent};
 
 use std::cell::RefCell;
@@ -146,11 +146,6 @@ pub struct RankProfile {
     pub metrics: MetricsSnapshot,
 }
 
-/// Number of threads with a live tracer — the global fast-path gate. A
-/// relaxed load of this is the *entire* cost of a span on an
-/// uninstrumented run.
-static ACTIVE_TRACERS: AtomicUsize = AtomicUsize::new(0);
-
 /// Common epoch for all ranks, so cross-rank timestamps line up in the
 /// merged Perfetto timeline.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -167,99 +162,160 @@ pub fn timestamp_ns() -> u64 {
     now_ns()
 }
 
-pub(crate) struct RankObs {
-    pub(crate) rank: usize,
-    pub(crate) spans: span::SpanRecorder,
-    pub(crate) metrics: MetricsRegistry,
+/// Fixed-capacity ring that overwrites its oldest entry when full and
+/// counts what it overwrote, so the most recent window survives (on a
+/// 100k-step run you want the steady state, not the first second). It
+/// holds both the tracer's completed spans and the flight journal.
+pub(crate) struct Ring<T> {
+    capacity: usize,
+    buf: Vec<T>,
+    /// Index of the oldest entry once the ring has wrapped.
+    head: usize,
+    /// Entries overwritten after the ring filled.
+    dropped: u64,
+}
+
+impl<T> Ring<T> {
+    pub(crate) fn new(capacity: usize) -> Self {
+        Self {
+            capacity: capacity.max(1),
+            buf: Vec::new(),
+            head: 0,
+            dropped: 0,
+        }
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    pub(crate) fn push(&mut self, e: T) {
+        if self.buf.len() < self.capacity {
+            self.buf.push(e);
+        } else {
+            self.buf[self.head] = e;
+            self.head = (self.head + 1) % self.capacity;
+            self.dropped += 1;
+        }
+    }
+
+    /// The surviving entries, oldest first, and how many were overwritten.
+    pub(crate) fn into_parts(mut self) -> (Vec<T>, u64) {
+        self.buf.rotate_left(self.head);
+        (self.buf, self.dropped)
+    }
+}
+
+/// One rank thread's recorder: the span tracer (with its metrics) and
+/// the flight journal, each armed on its own, behind one slot and one
+/// gate.
+pub(crate) struct Recorder {
+    pub(crate) tracer: Option<span::Tracer>,
+    pub(crate) journal: Option<flight::Journal>,
+}
+
+impl Recorder {
+    pub(crate) fn armed(&self) -> bool {
+        self.tracer.is_some() || self.journal.is_some()
+    }
 }
 
 thread_local! {
-    static RANK_OBS: RefCell<Option<RankObs>> = const { RefCell::new(None) };
+    static RECORDER: RefCell<Recorder> = const {
+        RefCell::new(Recorder {
+            tracer: None,
+            journal: None,
+        })
+    };
 }
 
-/// Start recording on the current thread as `rank`. A second call on the
-/// same thread replaces the previous recorder (its data is discarded).
-pub fn init_rank(rank: usize, config: &TraceConfig) {
-    // Pin the epoch before the first span so ts 0 ≈ run start.
+/// Number of threads with anything armed — the global fast-path gate. A
+/// relaxed load of this is the *entire* cost of a span, metric or
+/// journal event on an uninstrumented run.
+static ARMED_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// Arm or disarm part of the current thread's recorder, keeping the gate
+/// in step with whether anything is armed on it.
+pub(crate) fn rearm<R>(f: impl FnOnce(&mut Recorder) -> R) -> R {
+    // Pin the epoch before the first event so ts 0 ≈ run start.
     let _ = now_ns();
-    RANK_OBS.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        if slot.is_none() {
-            ACTIVE_TRACERS.fetch_add(1, Ordering::Relaxed);
-        }
-        *slot = Some(RankObs {
-            rank,
-            spans: span::SpanRecorder::new(config.capacity),
-            metrics: MetricsRegistry::default(),
-        });
-    });
+    RECORDER.with(|slot| {
+        let mut rec = slot.borrow_mut();
+        let was_armed = rec.armed();
+        let out = f(&mut rec);
+        match (was_armed, rec.armed()) {
+            (false, true) => ARMED_THREADS.fetch_add(1, Ordering::Relaxed),
+            (true, false) => ARMED_THREADS.fetch_sub(1, Ordering::Relaxed),
+            _ => 0,
+        };
+        out
+    })
 }
 
-/// Stop recording on the current thread and return everything it
+/// Run `f` against the current thread's recorder; `None` without a load
+/// of the thread-local when no thread has anything armed.
+#[inline]
+pub(crate) fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
+    if ARMED_THREADS.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    RECORDER.with(|slot| Some(f(&mut slot.borrow_mut())))
+}
+
+/// Start tracing on the current thread as `rank`. A second call on the
+/// same thread replaces the previous tracer (its data is discarded).
+pub fn init_rank(rank: usize, config: &TraceConfig) {
+    rearm(|r| r.tracer = Some(span::Tracer::new(rank, config.capacity)));
+}
+
+/// Stop tracing on the current thread and return everything it
 /// captured. Returns `None` when [`init_rank`] was never called (the
 /// disabled path), so callers can write
 /// `profile: specfem_obs::finish_rank()` unconditionally.
 pub fn finish_rank() -> Option<RankProfile> {
-    RANK_OBS.with(|slot| {
-        let taken = slot.borrow_mut().take();
-        taken.map(|obs| {
-            ACTIVE_TRACERS.fetch_sub(1, Ordering::Relaxed);
-            RankProfile {
-                rank: obs.rank,
-                trace: obs.spans.finish(obs.rank),
-                metrics: obs.metrics.snapshot(),
-            }
-        })
-    })
+    rearm(|r| r.tracer.take()).map(span::Tracer::finish)
 }
 
 /// Whether the current thread has a live tracer.
 pub fn is_active() -> bool {
-    if ACTIVE_TRACERS.load(Ordering::Relaxed) == 0 {
-        return false;
-    }
-    RANK_OBS.with(|slot| slot.borrow().is_some())
+    with_recorder(|r| r.tracer.is_some()).unwrap_or(false)
 }
 
-/// Run `f` against the current thread's recorder, if any.
-pub(crate) fn with_obs<R>(f: impl FnOnce(&mut RankObs) -> R) -> Option<R> {
-    if ACTIVE_TRACERS.load(Ordering::Relaxed) == 0 {
-        return None;
-    }
-    RANK_OBS.with(|slot| slot.borrow_mut().as_mut().map(f))
+/// Run `f` against the current thread's tracer, if any.
+fn with_tracer(f: impl FnOnce(&mut span::Tracer)) {
+    with_recorder(|r| r.tracer.as_mut().map(f));
 }
 
 /// Open a scoped span; it closes (and is recorded) when the returned
-/// guard drops. Spans feed both the tracer ring buffer and, when the
-/// thread's flight recorder is armed, the flight journal. On a thread
-/// with neither instrument this is two relaxed atomic loads and returns
-/// an inert guard — still effectively free next to the work spans wrap.
+/// guard drops. A span feeds the tracer ring and, when the thread's
+/// flight recorder is armed, the journal, with the same two clock
+/// readings. On a thread with nothing armed this is one relaxed atomic
+/// load and an inert guard.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    let traced = ACTIVE_TRACERS.load(Ordering::Relaxed) != 0;
-    if !traced && !flight::any_armed() {
-        return Span::inert();
+    if ARMED_THREADS.load(Ordering::Relaxed) == 0 {
+        return Span::INERT;
     }
-    Span::open(name, traced)
+    RECORDER.with(|slot| slot.borrow_mut().open_span(name))
 }
 
 /// Add `delta` to the named counter (no-op without a live tracer).
 #[inline]
 pub fn counter_add(name: &'static str, delta: u64) {
-    with_obs(|o| o.metrics.counter_add(name, delta));
+    with_tracer(|t| t.metrics.counter_add(name, delta));
 }
 
 /// Set the named gauge (no-op without a live tracer).
 #[inline]
 pub fn gauge_set(name: &'static str, value: f64) {
-    with_obs(|o| o.metrics.gauge_set(name, value));
+    with_tracer(|t| t.metrics.gauge_set(name, value));
 }
 
 /// Record `value` into the named log₂ histogram (no-op without a live
 /// tracer).
 #[inline]
 pub fn hist_record(name: &'static str, value: u64) {
-    with_obs(|o| o.metrics.hist_record(name, value));
+    with_tracer(|t| t.metrics.hist_record(name, value));
 }
 
 /// Escape a string for inclusion in a JSON string literal (shared by the

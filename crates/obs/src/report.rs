@@ -3,9 +3,10 @@
 //! IPM's banner for a SPECFEM run answers: how much of the main loop was
 //! communication, how is it distributed over ranks (imbalance), which
 //! operations dominate, and what message sizes move. [`IpmReport`]
-//! reproduces that: per-rank rows, per-phase min/mean/max/imbalance
-//! aggregated from span traces, per-tag traffic, and the top-k
-//! message-size buckets — renderable as aligned plain text or JSON.
+//! reproduces that from each rank's [`StatsSnapshot`] and span trace:
+//! per-rank rows, per-phase min/mean/max/imbalance, per-tag traffic, and
+//! the top-k message-size buckets — renderable as aligned plain text or
+//! JSON.
 //! Construction is deterministic: inputs are sorted by rank and all maps
 //! are ordered, so equal inputs (in any order) produce byte-identical
 //! output.
@@ -43,31 +44,101 @@ pub struct TagTraffic {
     pub bytes: u64,
 }
 
-/// Everything one rank contributes to the report. The comm fields mirror
-/// `specfem-comm`'s `StatsSnapshot` (this crate stays dependency-free;
-/// the facade converts).
+/// One rank's communication statistics — the IPM counters `specfem-comm`
+/// accumulates per rank and re-exports at `specfem_comm::StatsSnapshot`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct StatsSnapshot {
+    pub bytes_sent: u64,
+    pub bytes_received: u64,
+    /// Point-to-point messages sent.
+    pub messages_sent: u64,
+    /// Collective operations entered (barriers + reductions).
+    pub collectives: u64,
+    /// Seconds inside communication calls.
+    pub wall_time_s: f64,
+    /// Deterministic modeled communication seconds from the
+    /// latency/bandwidth network profile.
+    pub modeled_time_s: f64,
+    /// Non-blocking operations posted (`isend` + `irecv`).
+    pub posts: u64,
+    /// Seconds spent posting non-blocking operations (the cheap part —
+    /// near zero if overlap works).
+    pub post_time_s: f64,
+    /// Cumulative post→wait overlap window (seconds): the computation
+    /// hidden behind the wire.
+    pub overlap_time_s: f64,
+    /// Seconds blocked inside `wait` — the *exposed* communication cost
+    /// an overlapped solver actually pays.
+    pub wait_time_s: f64,
+    /// Sent traffic per message tag, ascending tag order.
+    pub per_tag: Vec<TagTraffic>,
+    /// Sent message-size distribution (log₂ buckets).
+    pub size_hist: LogHistogram,
+    /// Nanoseconds blocked in each completed `wait` (log₂ buckets).
+    pub wait_hist: LogHistogram,
+}
+
+impl StatsSnapshot {
+    /// Sent traffic for one message tag as `(messages, bytes)` — `(0, 0)`
+    /// when the tag never appeared. Saves every per-tag assertion in the
+    /// oracle suites from re-walking `per_tag` by hand.
+    pub fn tag_traffic(&self, tag: u32) -> (u64, u64) {
+        self.per_tag
+            .iter()
+            .find(|t| t.tag == tag)
+            .map(|t| (t.messages, t.bytes))
+            .unwrap_or((0, 0))
+    }
+
+    /// Add `messages` and `bytes` to `tag`'s row of [`Self::per_tag`],
+    /// keeping the rows in ascending tag order.
+    pub fn add_tag_traffic(&mut self, tag: u32, messages: u64, bytes: u64) {
+        let i = self.per_tag.partition_point(|t| t.tag < tag);
+        if self.per_tag.get(i).is_none_or(|t| t.tag != tag) {
+            let row = TagTraffic {
+                tag,
+                ..Default::default()
+            };
+            self.per_tag.insert(i, row);
+        }
+        self.per_tag[i].messages += messages;
+        self.per_tag[i].bytes += bytes;
+    }
+
+    /// Aggregate snapshots from all ranks into "total for all cores" form —
+    /// the quantity Figures 6/7 of the paper plot.
+    pub fn total<'a>(all: impl IntoIterator<Item = &'a StatsSnapshot>) -> StatsSnapshot {
+        let mut out = StatsSnapshot::default();
+        for s in all {
+            out.bytes_sent += s.bytes_sent;
+            out.bytes_received += s.bytes_received;
+            out.messages_sent += s.messages_sent;
+            out.collectives += s.collectives;
+            out.wall_time_s += s.wall_time_s;
+            out.modeled_time_s += s.modeled_time_s;
+            out.posts += s.posts;
+            out.post_time_s += s.post_time_s;
+            out.overlap_time_s += s.overlap_time_s;
+            out.wait_time_s += s.wait_time_s;
+            out.size_hist.merge(&s.size_hist);
+            out.wait_hist.merge(&s.wait_hist);
+            for t in &s.per_tag {
+                out.add_tag_traffic(t.tag, t.messages, t.bytes);
+            }
+        }
+        out
+    }
+}
+
+/// Everything one rank contributes to the report.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IpmRankInput {
     /// Rank id.
     pub rank: usize,
     /// Wall seconds of the measured window (the solver main loop).
     pub elapsed_s: f64,
-    /// Wall seconds inside communication calls.
-    pub comm_wall_s: f64,
-    /// Modeled (latency/bandwidth) communication seconds.
-    pub modeled_comm_s: f64,
-    /// Bytes sent.
-    pub bytes_sent: u64,
-    /// Bytes received.
-    pub bytes_received: u64,
-    /// Point-to-point messages sent.
-    pub messages_sent: u64,
-    /// Collectives entered.
-    pub collectives: u64,
-    /// Per-tag sent traffic.
-    pub per_tag: Vec<TagTraffic>,
-    /// Sent message-size distribution.
-    pub size_hist: LogHistogram,
+    /// The rank's communication statistics over that window.
+    pub comm: StatsSnapshot,
     /// Seconds per span name, from the rank's trace (empty when tracing
     /// was off — the comm columns still fill in).
     pub phase_seconds: Vec<(String, f64)>,
@@ -128,22 +199,13 @@ pub struct IpmReport {
     pub comm_fraction_max: f64,
     /// Mean modeled-comm fraction (modeled seconds / wall).
     pub modeled_fraction_mean: f64,
-    /// Total bytes sent over all ranks.
-    pub total_bytes_sent: u64,
-    /// Total bytes received over all ranks.
-    pub total_bytes_received: u64,
-    /// Total point-to-point messages.
-    pub total_messages: u64,
-    /// Total collectives entered.
-    pub total_collectives: u64,
+    /// Comm statistics summed over all ranks: traffic, per-tag
+    /// traffic (ascending tag order) and the merged size distribution.
+    pub totals: StatsSnapshot,
     /// One row per rank, ascending rank order.
     pub per_rank: Vec<RankRow>,
     /// Cross-rank phase table, alphabetical by name.
     pub phases: Vec<PhaseRow>,
-    /// Merged per-tag traffic, ascending tag order.
-    pub tags: Vec<TagTraffic>,
-    /// Merged message-size distribution.
-    pub size_hist: LogHistogram,
     /// Top-k `(lo, hi, count)` size buckets.
     pub top_sizes: Vec<(u64, u64, u64)>,
 }
@@ -166,17 +228,17 @@ impl IpmReport {
             ..IpmReport::default()
         };
 
-        let mut tags: BTreeMap<u32, TagTraffic> = BTreeMap::new();
         let mut phases: BTreeMap<String, Vec<f64>> = BTreeMap::new();
 
         for i in &inputs {
+            let c = &i.comm;
             let frac = if i.elapsed_s > 0.0 {
-                i.comm_wall_s / i.elapsed_s
+                c.wall_time_s / i.elapsed_s
             } else {
                 0.0
             };
             let modeled_frac = if i.elapsed_s > 0.0 {
-                i.modeled_comm_s / i.elapsed_s
+                c.modeled_time_s / i.elapsed_s
             } else {
                 0.0
             };
@@ -186,28 +248,15 @@ impl IpmReport {
             report.comm_fraction_min = report.comm_fraction_min.min(frac);
             report.comm_fraction_max = report.comm_fraction_max.max(frac);
             report.modeled_fraction_mean += modeled_frac / nf;
-            report.total_bytes_sent += i.bytes_sent;
-            report.total_bytes_received += i.bytes_received;
-            report.total_messages += i.messages_sent;
-            report.total_collectives += i.collectives;
             report.per_rank.push(RankRow {
                 rank: i.rank,
                 elapsed_s: i.elapsed_s,
-                comm_wall_s: i.comm_wall_s,
+                comm_wall_s: c.wall_time_s,
                 comm_fraction: frac,
-                bytes_sent: i.bytes_sent,
-                bytes_received: i.bytes_received,
-                messages_sent: i.messages_sent,
+                bytes_sent: c.bytes_sent,
+                bytes_received: c.bytes_received,
+                messages_sent: c.messages_sent,
             });
-            for t in &i.per_tag {
-                let e = tags.entry(t.tag).or_insert(TagTraffic {
-                    tag: t.tag,
-                    ..Default::default()
-                });
-                e.messages += t.messages;
-                e.bytes += t.bytes;
-            }
-            report.size_hist.merge(&i.size_hist);
             for (name, secs) in &i.phase_seconds {
                 phases.entry(name.clone()).or_default().push(*secs);
             }
@@ -216,7 +265,7 @@ impl IpmReport {
             report.comm_fraction_min = 0.0;
         }
 
-        report.tags = tags.into_values().collect();
+        report.totals = StatsSnapshot::total(inputs.iter().map(|i| &i.comm));
         report.phases = phases
             .into_iter()
             .map(|(name, secs)| {
@@ -235,7 +284,7 @@ impl IpmReport {
                 }
             })
             .collect();
-        report.top_sizes = report.size_hist.top_k(TOP_K_SIZES);
+        report.top_sizes = report.totals.size_hist.top_k(TOP_K_SIZES);
         report
     }
 
@@ -260,10 +309,10 @@ impl IpmReport {
         ));
         o.push_str(&format!(
             "# bytes sent : {}   recv : {}   msgs : {}   collectives : {}\n",
-            self.total_bytes_sent,
-            self.total_bytes_received,
-            self.total_messages,
-            self.total_collectives
+            self.totals.bytes_sent,
+            self.totals.bytes_received,
+            self.totals.messages_sent,
+            self.totals.collectives
         ));
         if !self.phases.is_empty() {
             o.push_str(
@@ -276,9 +325,9 @@ impl IpmReport {
                 ));
             }
         }
-        if !self.tags.is_empty() {
+        if !self.totals.per_tag.is_empty() {
             o.push_str("#\n# tag                            messages          bytes\n");
-            for t in &self.tags {
+            for t in &self.totals.per_tag {
                 o.push_str(&format!(
                     "# {:<8} {:<20} {:>10} {:>14}\n",
                     t.tag,
@@ -294,12 +343,12 @@ impl IpmReport {
                 o.push_str(&format!("# [{lo}, {hi}] B{:>width$}\n", c, width = 12));
             }
         }
-        if self.size_hist.count() > 0 {
+        if self.totals.size_hist.count() > 0 {
             o.push_str(&format!(
                 "# size quantiles : p50 {} B   p95 {} B   p99 {} B\n",
-                self.size_hist.quantile(0.50).unwrap_or(0),
-                self.size_hist.quantile(0.95).unwrap_or(0),
-                self.size_hist.quantile(0.99).unwrap_or(0),
+                self.totals.size_hist.quantile(0.50).unwrap_or(0),
+                self.totals.size_hist.quantile(0.95).unwrap_or(0),
+                self.totals.size_hist.quantile(0.99).unwrap_or(0),
             ));
         }
         o.push_str("#\n# rank     wall(s)    comm(s)   comm%      sent B      recv B    msgs\n");
@@ -336,10 +385,10 @@ impl IpmReport {
         ));
         o.push_str(&format!(
             "\"totals\":{{\"bytes_sent\":{},\"bytes_received\":{},\"messages\":{},\"collectives\":{}}},",
-            self.total_bytes_sent,
-            self.total_bytes_received,
-            self.total_messages,
-            self.total_collectives
+            self.totals.bytes_sent,
+            self.totals.bytes_received,
+            self.totals.messages_sent,
+            self.totals.collectives
         ));
         o.push_str("\"phases\":[");
         for (i, p) in self.phases.iter().enumerate() {
@@ -352,7 +401,7 @@ impl IpmReport {
             ));
         }
         o.push_str("],\"tags\":[");
-        for (i, t) in self.tags.iter().enumerate() {
+        for (i, t) in self.totals.per_tag.iter().enumerate() {
             if i > 0 {
                 o.push(',');
             }
@@ -370,9 +419,9 @@ impl IpmReport {
         }
         o.push_str(&format!(
             "],\"size_quantiles\":{{\"p50\":{},\"p95\":{},\"p99\":{}}},",
-            self.size_hist.quantile(0.50).unwrap_or(0),
-            self.size_hist.quantile(0.95).unwrap_or(0),
-            self.size_hist.quantile(0.99).unwrap_or(0),
+            self.totals.size_hist.quantile(0.50).unwrap_or(0),
+            self.totals.size_hist.quantile(0.95).unwrap_or(0),
+            self.totals.size_hist.quantile(0.99).unwrap_or(0),
         ));
         o.push_str("\"per_rank\":[");
         for (i, r) in self.per_rank.iter().enumerate() {
@@ -399,18 +448,21 @@ mod tests {
         IpmRankInput {
             rank,
             elapsed_s: elapsed,
-            comm_wall_s: comm,
-            modeled_comm_s: comm / 2.0,
-            bytes_sent: bytes,
-            bytes_received: bytes,
-            messages_sent: 4,
-            collectives: 2,
-            per_tag: vec![TagTraffic {
-                tag: 100,
-                messages: 4,
-                bytes,
-            }],
-            size_hist,
+            comm: StatsSnapshot {
+                wall_time_s: comm,
+                modeled_time_s: comm / 2.0,
+                bytes_sent: bytes,
+                bytes_received: bytes,
+                messages_sent: 4,
+                collectives: 2,
+                per_tag: vec![TagTraffic {
+                    tag: 100,
+                    messages: 4,
+                    bytes,
+                }],
+                size_hist,
+                ..Default::default()
+            },
             phase_seconds: vec![("forces".into(), elapsed - comm), ("halo".into(), comm)],
         }
     }
@@ -420,10 +472,10 @@ mod tests {
         let r = IpmReport::build(&[input(0, 2.0, 0.1, 1000), input(1, 2.5, 0.2, 3000)]);
         assert_eq!(r.ranks, 2);
         assert!((r.wall_max_s - 2.5).abs() < 1e-12);
-        assert_eq!(r.total_bytes_sent, 4000);
-        assert_eq!(r.total_messages, 8);
-        assert_eq!(r.tags.len(), 1);
-        assert_eq!(r.tags[0].bytes, 4000);
+        assert_eq!(r.totals.bytes_sent, 4000);
+        assert_eq!(r.totals.messages_sent, 8);
+        assert_eq!(r.totals.per_tag.len(), 1);
+        assert_eq!(r.totals.per_tag[0].bytes, 4000);
         assert_eq!(r.phases.len(), 2);
         let halo = r.phases.iter().find(|p| p.name == "halo").unwrap();
         assert!((halo.total_s - 0.3).abs() < 1e-12);

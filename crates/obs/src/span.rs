@@ -7,8 +7,9 @@
 //! so the recorded event set always forms a well-formed tree — verified
 //! by [`RankTrace::check_well_formed`] and the crate's proptests.
 
-use crate::flight::{self, FlightEventKind};
-use crate::{now_ns, with_obs};
+use crate::flight::FlightEventKind;
+use crate::metrics::MetricsRegistry;
+use crate::{now_ns, with_recorder, RankProfile, Recorder, Ring};
 
 /// One completed span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,66 +38,45 @@ struct OpenSpan {
     start_ns: u64,
 }
 
-/// Fixed-capacity ring of completed spans: when full, the oldest events
-/// are overwritten so the most recent window survives (flight-recorder
-/// semantics — on a 100k-step run you want the steady state, not the
-/// first second).
-pub(crate) struct SpanRecorder {
-    capacity: usize,
-    buf: Vec<SpanEvent>,
-    /// Index of the oldest event once the ring has wrapped.
-    head: usize,
-    /// Events overwritten after the ring filled.
-    dropped: u64,
+/// One rank's span tracer: the open-span stack, the ring of completed
+/// spans and the rank's metrics registry.
+pub(crate) struct Tracer {
+    rank: usize,
+    events: Ring<SpanEvent>,
     stack: Vec<OpenSpan>,
     next_id: u64,
+    pub(crate) metrics: MetricsRegistry,
 }
 
-impl SpanRecorder {
-    pub(crate) fn new(capacity: usize) -> Self {
+impl Tracer {
+    pub(crate) fn new(rank: usize, capacity: usize) -> Self {
         Self {
-            capacity: capacity.max(1),
-            buf: Vec::new(),
-            head: 0,
-            dropped: 0,
+            rank,
+            events: Ring::new(capacity),
             stack: Vec::new(),
             next_id: 0,
+            metrics: MetricsRegistry::default(),
         }
     }
 
-    fn push_event(&mut self, e: SpanEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(e);
-        } else {
-            self.buf[self.head] = e;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    fn open(&mut self, name: &'static str) -> u64 {
+    fn open(&mut self, name: &'static str, start_ns: u64) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.stack.push(OpenSpan {
-            id,
-            name,
-            start_ns: now_ns(),
-        });
+        self.stack.push(OpenSpan { id, name, start_ns });
         id
     }
 
-    /// Close span `id` and any of its still-open children (they all end
-    /// at the same instant, preserving tree shape under out-of-order
-    /// guard drops). Ignores ids already closed by a parent.
-    fn close(&mut self, id: u64) {
+    /// Close span `id` and any of its still-open children at `end` (they
+    /// all end at the same instant, preserving tree shape under
+    /// out-of-order guard drops). Ignores ids already closed by a parent.
+    fn close(&mut self, id: u64, end: u64) {
         let Some(pos) = self.stack.iter().rposition(|s| s.id == id) else {
             return;
         };
-        let end = now_ns();
         while self.stack.len() > pos {
             let open = self.stack.pop().unwrap();
             let depth = self.stack.len() as u16;
-            self.push_event(SpanEvent {
+            self.events.push(SpanEvent {
                 name: open.name,
                 start_ns: open.start_ns,
                 dur_ns: end.saturating_sub(open.start_ns),
@@ -105,64 +85,84 @@ impl SpanRecorder {
         }
     }
 
-    /// Close anything still open and return the trace, oldest event
-    /// first.
-    pub(crate) fn finish(mut self, rank: usize) -> RankTrace {
+    /// Close anything still open and return the rank's profile, oldest
+    /// event first.
+    pub(crate) fn finish(mut self) -> RankProfile {
         if let Some(bottom) = self.stack.first().map(|s| s.id) {
-            self.close(bottom);
+            self.close(bottom, now_ns());
         }
-        let mut events = self.buf;
-        events.rotate_left(self.head);
-        RankTrace {
-            rank,
-            events,
-            dropped: self.dropped,
+        let (events, dropped) = self.events.into_parts();
+        RankProfile {
+            rank: self.rank,
+            trace: RankTrace {
+                rank: self.rank,
+                events,
+                dropped,
+            },
+            metrics: self.metrics.snapshot(),
+        }
+    }
+}
+
+impl Recorder {
+    /// Open a span on whatever is armed on this thread, reading the
+    /// clock once for the tracer and the journal both.
+    pub(crate) fn open_span(&mut self, name: &'static str) -> Span {
+        if !self.armed() {
+            return Span::INERT;
+        }
+        let start_ns = now_ns();
+        let id = self.tracer.as_mut().map(|t| t.open(name, start_ns));
+        let journaled = match self.journal.as_mut() {
+            Some(j) => {
+                j.push(start_ns, FlightEventKind::SpanEnter, name, 0, 0);
+                true
+            }
+            None => false,
+        };
+        Span {
+            name,
+            start_ns,
+            id,
+            journaled,
         }
     }
 }
 
 /// RAII guard returned by [`crate::span`].
 pub struct Span {
+    name: &'static str,
+    start_ns: u64,
+    /// Tracer stack id, when the tracer was armed at open.
     id: Option<u64>,
-    /// `(name, start_ns)` when this thread's flight recorder is armed —
-    /// the span is then also journaled as enter/exit flight events.
-    flight: Option<(&'static str, u64)>,
+    /// Whether the enter was journaled (the journal was armed at open).
+    journaled: bool,
 }
 
 impl Span {
-    pub(crate) fn inert() -> Self {
-        Span {
-            id: None,
-            flight: None,
-        }
-    }
-
-    pub(crate) fn open(name: &'static str, traced: bool) -> Self {
-        let id = if traced {
-            with_obs(|o| o.spans.open(name))
-        } else {
-            None
-        };
-        let flight = if flight::flight_active() {
-            let t0 = now_ns();
-            flight::flight_event_at(t0, FlightEventKind::SpanEnter, name, 0, 0);
-            Some((name, t0))
-        } else {
-            None
-        };
-        Span { id, flight }
-    }
+    pub(crate) const INERT: Span = Span {
+        name: "",
+        start_ns: 0,
+        id: None,
+        journaled: false,
+    };
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(id) = self.id {
-            with_obs(|o| o.spans.close(id));
+        if self.id.is_none() && !self.journaled {
+            return;
         }
-        if let Some((name, t0)) = self.flight {
-            let t1 = now_ns();
-            flight::flight_event_at(t1, FlightEventKind::SpanExit, name, t1 - t0, 0);
-        }
+        with_recorder(|r| {
+            let end = now_ns();
+            if let (Some(id), Some(t)) = (self.id, r.tracer.as_mut()) {
+                t.close(id, end);
+            }
+            if let Some(j) = r.journal.as_mut().filter(|_| self.journaled) {
+                let dur = end - self.start_ns;
+                j.push(end, FlightEventKind::SpanExit, self.name, dur, 0);
+            }
+        });
     }
 }
 
@@ -202,11 +202,6 @@ impl RankTrace {
                 if !(disjoint || a_in_b || b_in_a) {
                     return Err(format!("spans overlap without nesting: {a:?} vs {b:?}"));
                 }
-                // Equal-interval spans arise when a parent closes its
-                // children at the same instant; depth still orders them.
-                if (a_in_b && b_in_a) && a.depth == b.depth && a.name != b.name {
-                    continue; // zero-length siblings at one instant are fine
-                }
             }
         }
         Ok(())
@@ -215,7 +210,8 @@ impl RankTrace {
 
 #[cfg(test)]
 mod tests {
-    use crate::{finish_rank, init_rank, span, TraceConfig};
+    use crate::{finish_rank, flight_arm, flight_harvest, init_rank, span, TraceConfig};
+    use crate::{FlightEvent, FlightEventKind};
 
     #[test]
     fn nesting_depths_are_recorded() {
@@ -288,5 +284,28 @@ mod tests {
         let phases = t.phase_seconds();
         let names: Vec<&str> = phases.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["x", "y"]);
+    }
+
+    #[test]
+    fn traced_and_journaled_spans_share_their_timestamps() {
+        init_rank(0, &TraceConfig::default());
+        flight_arm(0, 64);
+        {
+            let _outer = span("outer");
+            let _inner = span("inner");
+        }
+        let t = finish_rank().unwrap().trace;
+        let j = flight_harvest().unwrap();
+        assert_eq!(t.events.len(), 2);
+        let find = |kind: FlightEventKind, name: &str| -> FlightEvent {
+            *j.events
+                .iter()
+                .find(|f| f.kind == kind && f.label == name)
+                .unwrap()
+        };
+        for e in &t.events {
+            assert_eq!(find(FlightEventKind::SpanEnter, e.name).t_ns, e.start_ns);
+            assert_eq!(find(FlightEventKind::SpanExit, e.name).a, e.dur_ns);
+        }
     }
 }

@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use specfem_obs::{
-    finish_rank, init_rank, span, IpmRankInput, IpmReport, LogHistogram, Span, TagTraffic,
-    TraceConfig,
+    finish_rank, init_rank, span, IpmRankInput, IpmReport, LogHistogram, Span, StatsSnapshot,
+    TagTraffic, TraceConfig,
 };
 
 /// Names for randomly opened spans.
@@ -183,14 +183,17 @@ proptest! {
                 IpmRankInput {
                     rank,
                     elapsed_s: elapsed,
-                    comm_wall_s: elapsed * comm_frac,
-                    modeled_comm_s: elapsed * comm_frac * 0.5,
-                    bytes_sent: bytes,
-                    bytes_received: bytes,
-                    messages_sent: msgs,
-                    collectives: 1,
-                    per_tag: vec![TagTraffic { tag: 100, messages: msgs, bytes }],
-                    size_hist,
+                    comm: StatsSnapshot {
+                        wall_time_s: elapsed * comm_frac,
+                        modeled_time_s: elapsed * comm_frac * 0.5,
+                        bytes_sent: bytes,
+                        bytes_received: bytes,
+                        messages_sent: msgs,
+                        collectives: 1,
+                        per_tag: vec![TagTraffic { tag: 100, messages: msgs, bytes }],
+                        size_hist,
+                        ..Default::default()
+                    },
                     phase_seconds: vec![("halo".into(), elapsed * comm_frac)],
                 }
             })
@@ -203,13 +206,13 @@ proptest! {
         prop_assert_eq!(forward.render_text(), backward.render_text());
         prop_assert_eq!(forward.to_json(), backward.to_json());
 
-        let bytes_sum: u64 = inputs.iter().map(|i| i.bytes_sent).sum();
-        let msgs_sum: u64 = inputs.iter().map(|i| i.messages_sent).sum();
-        prop_assert_eq!(forward.total_bytes_sent, bytes_sum);
-        prop_assert_eq!(forward.total_messages, msgs_sum);
+        let bytes_sum: u64 = inputs.iter().map(|i| i.comm.bytes_sent).sum();
+        let msgs_sum: u64 = inputs.iter().map(|i| i.comm.messages_sent).sum();
+        prop_assert_eq!(forward.totals.bytes_sent, bytes_sum);
+        prop_assert_eq!(forward.totals.messages_sent, msgs_sum);
         prop_assert_eq!(forward.ranks, inputs.len());
-        prop_assert_eq!(forward.tags.len(), 1);
-        prop_assert_eq!(forward.tags[0].bytes, bytes_sum);
+        prop_assert_eq!(forward.totals.per_tag.len(), 1);
+        prop_assert_eq!(forward.totals.per_tag[0].bytes, bytes_sum);
         // Per-rank rows come back sorted by rank.
         for w in forward.per_rank.windows(2) {
             prop_assert!(w[0].rank < w[1].rank);
